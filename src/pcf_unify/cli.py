@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 not-matched / not-found, 2 input error,
+Exit codes: 0 success, 1 not-matched / not-found, 2 input error (including
+input the exact arithmetic cannot evaluate: a zero denominator or a pole),
 3 internal verification failure.
 """
 
@@ -285,9 +286,7 @@ def cmd_cluster(args):
         directions = [
             _parse_direction(part) for part in args.directions.split(";") if part
         ]
-        start = _parse_point(args.point) if hasattr(args, "point") else (
-            Fraction(1, 2),
-        ) * 3
+        start = (Fraction(1, 2),) * 3
         cmf_nodes = cmf_nodes_for_directions(pi_cmf(), start, directions, ctx)
 
     graph = grow_coboundary_graph(
@@ -330,7 +329,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

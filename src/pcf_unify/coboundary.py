@@ -24,7 +24,7 @@ from math import gcd, lcm
 
 import mpmath as mp
 
-from .linalg import nullspace, nullspace_with_prefilter
+from .linalg import nullspace, nullspace_with_prefilter, primitive_ints
 from .matrix import Mat, adjugate2, det2
 from .metrics import convergence_rate, irrationality_delta, rate_ratio
 from .parsing import parse_poly
@@ -164,37 +164,23 @@ def _eval_mat(m: Mat, n: int) -> Mat:
     return m.map(lambda p: Fraction(p(n)) if isinstance(p, (Poly,)) else Fraction(p(n)))
 
 
-def _normalize_int(m: Mat) -> Mat:
-    den = 1
-    for row in m:
-        for e in row:
-            den = lcm(den, Fraction(e).denominator)
-    ints = [int(Fraction(e) * den) for row in m for e in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return Mat([ints[:2], ints[2:]]).map(Fraction)
-
-
 def propagate_u(a_mat: Mat, b_mat: Mat, u1: Mat, depth: int) -> list[Mat]:
     """U(1..depth) via U(n+1) ~ adj(A(n)) U(n) B(n), each integer-normalized."""
-    us = [_normalize_int(u1)]
-    u = us[0]
+
+    def primitive(m):
+        ints = primitive_ints(e for row in m for e in row)
+        return Mat([ints[:2], ints[2:]]).map(Fraction)
+
+    us = [primitive(u1)]
     for i in range(1, depth):
         a_i = _eval_mat(a_mat, i)
         if det2(a_i) == 0:
             raise SingularAt(i)
         b_i = _eval_mat(b_mat, i)
-        u = adjugate2(a_i) * u * b_i
+        u = adjugate2(a_i) * us[-1] * b_i
         if all(e == 0 for row in u for e in row):
             raise SingularAt(i)
-        u = _normalize_int(u)
-        us.append(u)
+        us.append(primitive(u))
     return us
 
 
@@ -602,20 +588,9 @@ def _initial_u_candidates(fa: PCF, fb: PCF, ctx) -> list[Mat]:
             if rel is None:
                 continue
             u21, u22, u11, u12 = rel
-            push(_normalize_initial([u11, u12, u21, u22]))
+            ints = primitive_ints([u11, u12, u21, u22])
+            push(Mat([ints[:2], ints[2:]]).map(Fraction))
     return candidates
-
-
-def _normalize_initial(entries):
-    g = 0
-    for v in entries:
-        g = gcd(g, int(v))
-    if g == 0:
-        return None
-    entries = [int(v) // g for v in entries]
-    if next((v for v in entries if v), 0) < 0:
-        entries = [-v for v in entries]
-    return Mat([entries[:2], entries[2:]]).map(Fraction)
 
 
 def _attempt_fold_option(pcf_a, pcf_b, k_a, k_b, ctx, diagnostics) -> MatchResult:

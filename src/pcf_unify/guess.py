@@ -12,19 +12,21 @@ shape land on the same recurrence.
 Each candidate system is first screened modulo a word-sized prime (a
 rational solution survives reduction, so an empty modular nullspace proves
 there is nothing to find); only survivors pay for the exact fraction-free
-solve.  A successful fit must annihilate every provided term, including the
-surplus the solver never saw.
+solve.  The screen builds its matrix from the terms' residues and calls the
+modular kernel in ``linalg`` (``residues_mod_p``, ``rank_mod_p``), which
+also normalises the initial conditions (``primitive_ints``).  A successful
+fit must annihilate every provided term, including the surplus the solver
+never saw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
-from .linalg import nullspace
+from .linalg import nullspace, primitive_ints, rank_mod_p, residues_mod_p
 from .matrix import Mat
 from .poly import Poly
 from .recurrence import PCF, InitialConditions, Recurrence
@@ -65,64 +67,31 @@ def _terms_needed(m: int, d: int) -> int:
 
 
 def _mod_p_solvable(terms, m, d, rows_used) -> bool:
-    """Quick modular feasibility check for the (m, d) candidate."""
+    """Quick modular feasibility check for the (m, d) candidate.
+
+    The first of the primes at which no term's denominator vanishes decides;
+    if there is none, the exact solve does.
+    """
+    ncols = (m + 1) * (d + 1)
     for p in _PRIMES:
-        tm = []
-        ok = True
-        for t in terms:
-            den = t.denominator % p
-            if den == 0:
-                ok = False
-                break
-            tm.append(t.numerator % p * pow(den, -1, p) % p)
-        if not ok:
+        tm = residues_mod_p(terms, p)
+        if tm is None:
             continue
-        ncols = (m + 1) * (d + 1)
-        a = np.zeros((rows_used, ncols), dtype=np.int64)
+        rows = []
         for n in range(rows_used):
-            npow = 1
-            for i in range(d + 1):
-                for j in range(m + 1):
-                    a[n, j * (d + 1) + i] = npow * tm[n + j] % p
-                npow = npow * n % p
-        # rank mod p
-        rank, col = 0, 0
-        nrows = rows_used
-        while rank < nrows and col < ncols:
-            piv = None
-            for i in range(rank, nrows):
-                if a[i, col] % p:
-                    piv = i
-                    break
-            if piv is None:
-                col += 1
-                continue
-            a[[rank, piv]] = a[[piv, rank]]
-            inv = pow(int(a[rank, col]), -1, p)
-            a[rank] = a[rank] * inv % p
-            mask = np.arange(nrows) != rank
-            a[mask] = (a[mask] - a[mask, col][:, None] * a[rank][None, :]) % p
-            rank += 1
-            col += 1
-        return rank < ncols
-    return True  # all primes degenerate: fall through to the exact solve
+            powers = [pow(n, i, p) for i in range(d + 1)]
+            rows.append([pw * tm[n + j] % p for j in range(m + 1) for pw in powers])
+        return rank_mod_p(np.array(rows, dtype=np.int64), p) < ncols
+    return True
 
 
-def _exact_candidates(terms, m, d, rows_used):
+def _candidate_rows(terms, m, d, rows_used):
+    """Equations of the (m, d) candidate; column j * (d + 1) + i holds n^i s_{n+j}."""
     rows = []
     for n in range(rows_used):
-        row = []
-        npow = Fraction(1)
-        powers = []
-        for _ in range(d + 1):
-            powers.append(npow)
-            npow *= n
-        for j in range(m + 1):
-            for i in range(d + 1):
-                row.append(powers[i] * terms[n + j])
-        rows.append(row)
-    # column order above is (j, i); rebuild solutions in that layout
-    return nullspace(rows)
+        powers = [Fraction(n) ** i for i in range(d + 1)]
+        rows.append([pw * terms[n + j] for j in range(m + 1) for pw in powers])
+    return rows
 
 
 def _vector_to_polys(vec, m, d):
@@ -166,7 +135,7 @@ def guess_recurrence(
             rows_used = (m + 1) * (d + 1) + SURPLUS
             if not _mod_p_solvable(terms, m, d, rows_used):
                 continue
-            for vec in _exact_candidates(terms, m, d, rows_used):
+            for vec in nullspace(_candidate_rows(terms, m, d, rows_used)):
                 cs = _vector_to_polys(vec, m, d)
                 if cs[m].is_zero() or cs[0].is_zero():
                     continue  # lower order / shifted relation in disguise
@@ -245,19 +214,5 @@ def table_style_init(init: InitialConditions, pcf: PCF) -> InitialConditions:
     if det == 0:
         raise ValueError("b(1) = 0: index-1 companion is singular")
     inv = Mat([[cm1[1, 1], -cm1[0, 1]], [-cm1[1, 0], cm1[0, 0]]]).map(lambda e: e / det)
-    m = init.matrix * inv
-    den = 1
-    from math import lcm
-
-    for row in m:
-        for e in row:
-            den = lcm(den, e.denominator)
-    ints = [int(e * den) for row in m for e in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g:
-        ints = [v // g for v in ints]
-    if next((v for v in ints if v), 0) < 0:
-        ints = [-v for v in ints]
+    ints = primitive_ints(e for row in init.matrix * inv for e in row)
     return InitialConditions(Mat([ints[:2], ints[2:]]).map(Fraction))

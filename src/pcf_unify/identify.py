@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import mpmath as mp
 
 from .constants import ConstantRef, constant_value
+from .linalg import primitive_ints
 from .matrix import Mat, det2
 from .recurrence import ApproxValue, mobius_apply
 
@@ -105,19 +105,6 @@ def pslq(
         return IntegerRelation(tuple(rel), residual, working_digits)
 
 
-def _normalize_mobius(entries: list[int]) -> Mat | None:
-    g = 0
-    for v in entries:
-        g = gcd(g, v)
-    if g == 0:
-        return None
-    entries = [v // g for v in entries]
-    lead = next((v for v in entries if v), 0)
-    if lead < 0:
-        entries = [-v for v in entries]
-    return Mat([entries[:2], entries[2:]]).map(Fraction)
-
-
 def identify_mobius(
     value: ApproxValue | mp.mpf,
     constant: ConstantRef | str,
@@ -161,8 +148,9 @@ def identify_mobius(
         if rel is None:
             return None
         a1, a2, a3, a4 = rel.coefficients
-        m = _normalize_mobius([-a3, -a4, a1, a2])
-        if m is None or det2(m) == 0:
+        ints = primitive_ints([-a3, -a4, a1, a2])
+        m = Mat([ints[:2], ints[2:]]).map(Fraction)
+        if det2(m) == 0:
             return None
         check = mobius_apply(m, c)
         if check is None or abs(check - x) > mp.mpf(10) ** (-working_digits // 2):

@@ -8,6 +8,13 @@ elimination mod a word-sized prime, vectorized with numpy) rejects them
 before any big-integer work: a nontrivial rational nullspace always
 survives reduction mod p, so an empty mod-p nullspace is a proof of
 rational infeasibility.
+
+This module is also the one home of two decisions other modules share:
+``primitive_ints`` (scale a vector to coprime integers, first nonzero entry
+positive) normalises nullspace bases, Moebius matrices, propagated U(n)
+and initial conditions; ``residues_mod_p`` and ``rank_mod_p`` are the
+modular kernel behind both this prefilter and the recurrence screen in
+``guess``.
 """
 
 from __future__ import annotations
@@ -21,18 +28,57 @@ import numpy as np
 _FILTER_PRIME = 2_147_483_647
 
 
-def _clear_row(row):
-    """Scale a row of Fractions to coprime integers."""
-    den = 1
-    for x in row:
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+def primitive_ints(values) -> list[int]:
+    """``values`` (ints or Fractions) scaled to coprime integers.
+
+    Denominators are cleared by their lcm, the result is divided by its gcd
+    and its first nonzero entry made positive; an all-zero input returns all
+    zeros.  This is the normal form of anything known only up to scale.
+    """
+    values = list(values)
+    den = lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (den // x.denominator) for x in values]
+    g = gcd(*ints)
+    if g == 0:
+        return ints
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return [v // g for v in ints]
+
+
+def residues_mod_p(values, p: int) -> list[int] | None:
+    """``values`` (ints or Fractions) reduced mod p; None if a denominator vanishes."""
+    out = []
+    for x in values:
+        d = x.denominator % p
+        if d == 0:
+            return None
+        out.append(x.numerator % p * pow(d, -1, p) % p)
+    return out
+
+
+def rank_mod_p(a: np.ndarray, p: int) -> int:
+    """Rank mod p of an int64 matrix of residues in [0, p), reduced in place.
+
+    p must be below 2^31 so that products of two residues fit in int64.
+    """
+    nrows, ncols = a.shape
+    rank = 0
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        nonzero = np.flatnonzero(a[rank:, col])
+        if nonzero.size == 0:
+            continue
+        piv = rank + int(nonzero[0])
+        if piv != rank:
+            a[[rank, piv]] = a[[piv, rank]]
+        a[rank] = a[rank] * pow(int(a[rank, col]), -1, p) % p
+        below = a[rank + 1 :]
+        below -= below[:, col, None] * a[rank]
+        below %= p
+        rank += 1
+    return rank
 
 
 def nullspace_dim_mod_p(rows, p: int = _FILTER_PRIME) -> int:
@@ -42,41 +88,10 @@ def nullspace_dim_mod_p(rows, p: int = _FILTER_PRIME) -> int:
     the modular nullspace, keeping the filter conservative.
     """
     ncols = len(rows[0])
-    red = []
-    for row in rows:
-        r = []
-        for x in row:
-            d = x.denominator % p
-            if d == 0:
-                r = None
-                break
-            r.append(x.numerator % p * pow(d, -1, p) % p)
-        if r is not None:
-            red.append(r)
+    red = [r for r in (residues_mod_p(row, p) for row in rows) if r is not None]
     if not red:
         return ncols
-    a = np.array(red, dtype=np.int64) % p
-    rank = 0
-    col = 0
-    nrows = a.shape[0]
-    while rank < nrows and col < ncols:
-        piv = None
-        for i in range(rank, nrows):
-            if a[i, col] % p:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), -1, p)
-        a[rank] = (a[rank] * inv) % p
-        mask = np.arange(nrows) != rank
-        factors = a[mask, col].copy()
-        a[mask] = (a[mask] - factors[:, None] * a[rank][None, :]) % p
-        rank += 1
-        col += 1
-    return ncols - rank
+    return ncols - rank_mod_p(np.array(red, dtype=np.int64), p)
 
 
 def nullspace(rows) -> list[list[Fraction]]:
@@ -91,7 +106,7 @@ def nullspace(rows) -> list[list[Fraction]]:
     if not rows:
         return []
     ncols = len(rows[0])
-    mat = [_clear_row(r) for r in rows if any(r)]
+    mat = [primitive_ints(r) for r in rows if any(r)]
     if not mat:
         return [_unit(ncols, j) for j in range(ncols)]
 
@@ -132,24 +147,8 @@ def nullspace(rows) -> list[list[Fraction]]:
             row = mat[pr_i]
             s = sum((Fraction(row[j]) * vec[j] for j in range(pc + 1, ncols)), Fraction(0))
             vec[pc] = -s / row[pc]
-        basis.append(_integerize(vec))
+        basis.append([Fraction(v) for v in primitive_ints(vec)])
     return basis
-
-
-def _integerize(vec):
-    den = 1
-    for x in vec:
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return [Fraction(v) for v in ints]
 
 
 def _unit(n, j):

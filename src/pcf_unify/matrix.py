@@ -98,10 +98,6 @@ def _dot(row, other: Mat, j: int):
     return acc
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    return a * b
-
-
 def identity(m: int, one=Fraction(1), zero=Fraction(0)) -> Mat:
     return Mat(
         tuple(one if i == j else zero for j in range(m)) for i in range(m)

@@ -72,7 +72,7 @@ def _check_payload(rec: FormulaRecord, index: int):
             raise CorpusError(f"{where}: unknown kind {rec.kind!r}")
     except KeyError as exc:
         raise CorpusError(f"{where}: missing payload field {exc}") from exc
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, ZeroDivisionError) as exc:
         raise CorpusError(f"{where}: payload does not parse: {exc}") from exc
 
 
@@ -401,7 +401,7 @@ def grow_coboundary_graph(
             if n.id not in childed
             and bins_for_delta(n.delta.delta, ctx.delta_tol)[0] != center
         ]
-        pool = pool + [n for n in secondary if n.id not in childed]
+        pool = pool + secondary
         bin_roots = []
         while True:
             pool = [n for n in pool if n.id not in childed]
@@ -434,8 +434,7 @@ def grow_coboundary_graph(
             for root in roots_by_bin.get(center, []):
                 if root.id in childed:
                     continue
-                if try_match(fnode, root):
-                    pass  # a field node may collect several roots
+                try_match(fnode, root)  # a field node may collect several roots
     return CoboundaryGraph(nodes=all_nodes, edges=edges)
 
 

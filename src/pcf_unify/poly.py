@@ -374,13 +374,6 @@ def gcd_many(polys) -> Poly:
     return out
 
 
-def lcm_many(polys) -> Poly:
-    out = ONE
-    for p in polys:
-        out = poly_lcm(out, p)
-    return out
-
-
 def low_degree_factors(p: Poly, root_bound: int = 50):
     """Split p into linear factors from an integer-root scan plus a remainder.
 

@@ -332,11 +332,6 @@ def convergent(pcf: PCF, depth: int, init: InitialConditions | None = None, star
     return v
 
 
-def cf_value_offset(pcf: PCF) -> Fraction:
-    """a(0): the head term of the continued fraction written in full."""
-    return pcf.a(0)
-
-
 def parse_pcf(text: str) -> PCF:
     """Parse the text form ``PCF(a-poly; b-poly)``."""
     from .parsing import parse_poly
@@ -533,10 +528,16 @@ def _balanced_limit(pcf, r, series, m_half, n_half, m_full, n_full,
         shorter = mobius_apply(m_full, _tail_at(r, d, coeffs[:-r], n_full))
         if INF in (value, half, shorter):
             return None
-        # the floor covers rounding: S_N(w) cancels about log10(N) digits
-        rounding = mp.mpf(10) ** (10 - workdps) * max(1, abs(value))
-        bound = max(abs(value - half), abs(value - shorter), rounding)
+        bound = max(abs(value - half), abs(value - shorter), _rounding(value, workdps))
         return ApproxValue(+value, precision_digits, +bound, converged=True)
+
+
+def _rounding(value, workdps):
+    """Error floor of a value rounded to ``workdps`` digits.
+
+    It leaves 10 digits of slack: S_N(w) cancels about log10(N) digits.
+    """
+    return mp.mpf(10) ** (10 - workdps) * max(1, abs(value))
 
 
 def _richardson_parity(pairs, dps):
@@ -576,18 +577,25 @@ def evaluate_limit(
 
     Whichever bound is smaller than the raw one wins.  The bounds are
     heuristic, like the raw one, and ``precision_digits`` is the working
-    target, not a promise: the bound says what the value holds.
+    target, not a promise: the bound says what the value holds.  No bound is
+    below the rounding of the value, 10^-(precision_digits + 5) max(1, |value|).
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
     start = pcf.first_valid_index()
     for _ in range(16):
         try:
-            return _evaluate_limit_from(
+            lim = _evaluate_limit_from(
                 pcf, init, depth, precision_digits, accelerate, start
             )
         except PoleError as exc:
             start = exc.index + 1
+            continue
+        # no bound may claim more digits than the rounded value carries
+        workdps = precision_digits + 15
+        with mp.workdps(workdps):
+            lim.error_bound = max(lim.error_bound, _rounding(lim.value, workdps))
+        return lim
     raise PoleError(start)
 
 

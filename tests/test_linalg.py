@@ -1,9 +1,16 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcf_unify.linalg import nullspace, nullspace_dim_mod_p, nullspace_with_prefilter
+from pcf_unify.guess import _candidate_rows, _mod_p_solvable
+from pcf_unify.linalg import (
+    nullspace,
+    nullspace_dim_mod_p,
+    nullspace_with_prefilter,
+    primitive_ints,
+)
 
 
 def test_simple_nullspace():
@@ -32,6 +39,22 @@ def test_known_kernel_vector():
     basis = nullspace(rows)
     assert len(basis) == 1
     assert basis[0] == [Fraction(1), Fraction(-2), Fraction(3)]
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        ([0, -4, 6, -8], [0, 2, -3, 4]),  # mixed signs: gcd out, lead made positive
+        ([Fraction(-2, 3), Fraction(4, 9), 0], [3, -2, 0]),  # lcm 9, gcd 2
+        ([Fraction(1, 2), Fraction(1, 3)], [3, 2]),
+        ([3, -5, 7], [3, -5, 7]),  # already primitive
+        ([Fraction(6), Fraction(-10, 1)], [3, -5]),
+        ([0, 0, 0, 0], [0, 0, 0, 0]),  # zero vector stays zero
+    ],
+)
+def test_primitive_ints(values, expected):
+    assert primitive_ints(values) == expected
+    assert primitive_ints(iter(values)) == expected
 
 
 def test_prefilter_agrees_with_exact():
@@ -70,3 +93,35 @@ def test_mod_p_dim_bounds_rational_dim(rows):
     exact = len(nullspace(rows))
     modular = nullspace_dim_mod_p(rows)
     assert modular >= exact
+
+
+@st.composite
+def recurrence_candidates(draw):
+    """(terms, m, d, rows_used) for guess's screen: random sequences, and
+    sequences with a low-order relation so that both outcomes occur."""
+    m = draw(st.integers(1, 2))
+    d = draw(st.integers(0, 2))
+    rows_used = draw(st.integers(1, (m + 1) * (d + 1) + 4))
+    count = rows_used + m
+    kind = draw(st.sampled_from(["random", "geometric", "polynomial"]))
+    if kind == "random":
+        terms = [
+            Fraction(draw(st.integers(-20, 20)), draw(st.integers(1, 9)))
+            for _ in range(count)
+        ]
+    elif kind == "geometric":
+        r = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 5)))
+        terms = [r**n for n in range(count)]
+    else:
+        cs = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4))
+        terms = [Fraction(sum(c * n**k for k, c in enumerate(cs))) for n in range(count)]
+    return terms, m, d, rows_used
+
+
+@given(recurrence_candidates())
+@settings(max_examples=120, deadline=None)
+def test_recurrence_screen_matches_prefilter(candidate):
+    # the denominators are below every prime, so both decide at the first one
+    terms, m, d, rows_used = candidate
+    rows = _candidate_rows(terms, m, d, rows_used)
+    assert _mod_p_solvable(terms, m, d, rows_used) == (nullspace_dim_mod_p(rows) > 0)

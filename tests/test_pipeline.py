@@ -54,6 +54,23 @@ def test_ingest_rejects_malformed_polynomial():
     assert "bad" in str(e.value)
 
 
+def test_ingest_rejects_zero_division_payload():
+    with pytest.raises(CorpusError) as e:
+        ingest_corpus(
+            corpus(
+                [
+                    {
+                        "id": "div0",
+                        "constant": "pi",
+                        "kind": "pcf",
+                        "payload": {"a": "n", "b": "1/0"},
+                    }
+                ]
+            )
+        )
+    assert "div0" in str(e.value)
+
+
 def test_ingest_rejects_duplicate_ids():
     rec = {
         "id": "x",
@@ -316,3 +333,11 @@ def test_cli_exit_codes(tmp_path):
     assert (
         main(["match", "PCF(1; 1)", "PCF(2; (2n-1)^2)", "--constant", "pi"]) == 1
     )  # golden ratio is not a pi formula: metrics/moebius mismatch
+
+
+def test_cli_arithmetic_failures_are_input_errors(capsys):
+    from pcf_unify.cli import main
+
+    assert main(["eval", "PCF(n; 1/0)"]) == 2  # zero division in the input
+    assert main(["eval", "PCF(n-n; 1)", "--depth", "10"]) == 2  # zero denominator
+    assert capsys.readouterr().err.count("error: ") == 2

@@ -224,6 +224,19 @@ def test_balanced_without_minimal_solution_diverges():
     assert not v.converged
 
 
+def test_limit_bound_never_beats_the_rounding():
+    # the raw path rounds the value to precision_digits + 15 digits; its
+    # inter-depth gap (6e-107 here at precision 60) must not claim more
+    p = pcf("2n+4", "-n^2-n-1")
+    v = evaluate_limit(p, depth=4000, precision_digits=60)
+    reference = evaluate_limit(p, depth=16000, precision_digits=60)
+    with mp.workdps(100):
+        assert abs(v.value - reference.value) <= v.error_bound
+    # PCF(1; 1) at zero requested digits: a 15-digit value, not 1e-896
+    g = evaluate_limit(pcf("1", "1"), precision_digits=0)
+    assert g.error_bound >= mp.mpf(10) ** -15
+
+
 @pytest.mark.parametrize("which", [0, 1])
 def test_richardson_fallback_bound_is_honest(which, monkeypatch):
     # with the tail path out of the way the catalan pair takes the Richardson
