@@ -118,8 +118,6 @@ def _relation_to_recurrence(cs, m) -> Recurrence:
     if den.leading() < 0:
         den = -den
         coeffs = [-c for c in coeffs]
-    if den.degree == 0 and den[0] == 1:
-        return Recurrence(coeffs=coeffs)
     return Recurrence(coeffs=coeffs, den=den)
 
 

@@ -73,7 +73,8 @@ def pslq(
 
     ``values`` may be mpf's or ApproxValues sharing a working precision.
     Raises InsufficientPrecision when the requested precision cannot support
-    the coefficient size (10 + len * max_coeff_digits rule).
+    the coefficient size (10 + len * max_coeff_digits rule).  A value that
+    vanishes at the working precision gives None.
     """
     xs = [v.value if isinstance(v, ApproxValue) else v for v in values]
     if len(xs) < 2:
@@ -90,10 +91,14 @@ def pslq(
     with mp.workdps(working_digits):
         # the achievable residual floor is the working precision degraded by
         # the coefficient size, so the stop tolerance must sit above it
-        tol = mp.mpf(10) ** (-(working_digits - 10 - max_coeff_digits))
+        tol = min(mp.mpf(10) ** (-(working_digits - 10 - max_coeff_digits)), threshold)
+        # mpmath answers None for a value below tol/100 but raises on one that
+        # is zero at its precision, such as a zero limit (rational anyway)
+        if min(abs(x) for x in xs) < tol / 100:
+            return None
         rel = mp.pslq(
             xs,
-            tol=min(tol, threshold),
+            tol=tol,
             maxcoeff=10**max_coeff_digits,
             maxsteps=3000 + 100 * len(xs) ** 2,
         )

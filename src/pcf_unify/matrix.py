@@ -76,9 +76,6 @@ class Mat:
     def map(self, f) -> "Mat":
         return Mat(tuple(f(e) for e in row) for row in self.rows)
 
-    def transpose(self) -> "Mat":
-        return Mat(zip(*self.rows))
-
     def shift(self, s: int) -> "Mat":
         """Entrywise index shift for matrices of polynomials/rational functions."""
         return self.map(lambda e: e.shift(s))

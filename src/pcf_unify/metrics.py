@@ -10,7 +10,9 @@ throughout; the 0.69 / 1.38 rate fixtures (= ln 2, 2 ln 2) pin that down.
 
 Both metrics are computed from exact rational convergents, with the
 reference limit taken at twice the metric depth, so the only floating
-point involved is the final logarithm of exact big integers.
+point involved is the final logarithm of exact big integers.  The
+convergents come from ``recurrence``'s product engine; this module holds
+no product code of its own.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import identity
-from .recurrence import INF, PCF, InitialConditions, PoleError, mobius_apply, step_product
+from .recurrence import INF, PCF, InitialConditions, _products_at_depths, mobius_apply
 
 RATE_ZERO_THRESHOLD = 0.05
 
@@ -48,23 +49,9 @@ def _log_abs(x: Fraction) -> float:
 
 
 def _exact_points(pcf: PCF, depth: int, init: InitialConditions | None):
-    """(p_depth/q_depth, q_depth, L~x_{2*depth}) computed exactly, pole-safe."""
-    start = pcf.first_valid_index()
-    for _ in range(16):
-        try:
-            cm = pcf.companion()
-            first = step_product(cm, start, start + depth - 1)
-            second = step_product(cm, start + depth, start + 2 * depth - 1)
-            base = init.matrix if init is not None else identity(2)
-            m_depth = base * first.matrix
-            m_full = m_depth * second.matrix
-            x_n = mobius_apply(m_depth, Fraction(0))
-            limit = mobius_apply(m_full, Fraction(0))
-            q_n = m_depth[1, 1]
-            return x_n, q_n, limit
-        except PoleError as exc:
-            start = exc.index + 1
-    raise PoleError(start)
+    """The exact convergents (x_depth, L~x_{2*depth})."""
+    products = _products_at_depths(pcf, init, pcf.first_valid_index(), [depth, 2 * depth])
+    return [mobius_apply(m, Fraction(0)) for m in products]
 
 
 def irrationality_delta(
@@ -76,7 +63,7 @@ def irrationality_delta(
     terms (the Diophantine quality of the raw matrix entries would be
     arbitrarily inflatable); the published cluster values pin this reading.
     """
-    x_n, _q_raw, limit = _exact_points(pcf, depth, init)
+    x_n, limit = _exact_points(pcf, depth, init)
     if x_n is INF or limit is INF:
         return DeltaEstimate(math.nan, depth, defined=False)
     q_n = x_n.denominator  # Fraction keeps it reduced
@@ -94,7 +81,7 @@ def convergence_rate(
     pcf: PCF, depth: int = 2000, init: InitialConditions | None = None
 ) -> RateEstimate:
     """|log|L - x_depth|| / depth, thresholded to 0 below 5e-2."""
-    x_n, _q, limit = _exact_points(pcf, depth, init)
+    x_n, limit = _exact_points(pcf, depth, init)
     if x_n is INF or limit is INF:
         return RateEstimate(math.nan, math.nan, depth, defined=False)
     gap = limit - x_n

@@ -26,6 +26,7 @@ from .coboundary import CoboundaryCertificate, MatchContext, match_pair
 from .guess import eval_series_terms, guess_recurrence
 from .metrics import DeltaEstimate, RateEstimate
 from .parsing import ParseError, parse_ast, parse_poly
+from .poly import ONE
 from .recurrence import PCF, Recurrence
 from .transforms import to_pcf_canonical
 
@@ -161,12 +162,8 @@ def validate_formula(rec: FormulaRecord, ctx: MatchContext) -> GraphNode | Rejec
             ).to_recurrence()
         else:
             coeffs = [parse_poly(c) for c in rec.payload["coeffs"]]
-            den = parse_poly(rec.payload["den"]) if "den" in rec.payload else None
-            recurrence = (
-                Recurrence(coeffs=coeffs, den=den)
-                if den is not None
-                else Recurrence(coeffs=coeffs)
-            )
+            den = parse_poly(rec.payload["den"]) if "den" in rec.payload else ONE
+            recurrence = Recurrence(coeffs=coeffs, den=den)
     except (ValueError, ZeroDivisionError) as exc:
         return Rejection(rec.id, "payload-error", str(exc))
 
@@ -288,12 +285,6 @@ class Edge:
 class CoboundaryGraph:
     nodes: dict  # id -> GraphNode
     edges: list  # Edge, parent is the hub / field node
-
-    def parent_of(self, node_id: str):
-        for e in self.edges:
-            if e.child == node_id:
-                return e.parent
-        return None
 
     def roots(self):
         childed = {e.child for e in self.edges}

@@ -153,5 +153,4 @@ def rf_reduce(num, den) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-ZERO_RF = RationalFunction(Poly())
 ONE_RF = RationalFunction(ONE)

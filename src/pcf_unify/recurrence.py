@@ -11,17 +11,21 @@ Conventions (fixed package-wide, validated against the worked fixtures):
 * Initial-condition matrices multiply the step product on the left.  A
   depth-0 convergent is ``init`` applied to 0.
 
-Step products are computed by binary splitting on integer matrices (each
-factor is scaled by the lcm of its entry denominators, and the scalar
-denominators are multiplied separately), which keeps depth-4000 evaluations
-cheap.
+Every exact product of companion factors comes from one engine here:
+``_factors`` clears the companion's denominators once (numerators scaled by
+one lcm, denominators kept as integer polynomials) and evaluates each factor
+by integer Horner.  ``step_product`` multiplies the factors by binary
+splitting, ``convergent_pairs`` runs them as a sequential product, and
+``_products_at_depths`` extends one product across the depths that the
+limit, the metrics and ``convergent`` read.  Only a companion with rational
+entries can raise ``PoleError``; a PCF's companion never does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 import mpmath as mp
 
@@ -66,11 +70,12 @@ class PCF:
         return Recurrence(coeffs=[self.a, self.b])
 
     def first_valid_index(self) -> int:
-        """Smallest s >= 1 with b(n) != 0 for all scanned n >= s.
+        """Smallest s >= 1 with b(n) != 0 for all n >= s up to a scan bound.
 
-        The scan is bounded; evaluation paths additionally retry past any
-        pole reported by PoleError, so a root beyond the bound is still
-        handled.
+        A root k of b is a singular factor (zero determinant), not a pole:
+        the product stays exact, but the fraction is cut off at k, so
+        evaluation starts after the last root.  Roots beyond the scan bound
+        of 500 are not found.
         """
         roots = [r for r in self.b.integer_roots(500) if r >= 1]
         return max(roots) + 1 if roots else 1
@@ -102,14 +107,6 @@ class Recurrence:
 
     def is_polynomial(self) -> bool:
         return self.den.degree == 0 and self.den[0] == 1
-
-    def coefficient_rfs(self) -> list[RationalFunction]:
-        return [RationalFunction(c, self.den) for c in self.coeffs]
-
-    def to_pcf(self) -> PCF:
-        if self.order != 2 or not self.is_polynomial():
-            raise ValueError("only polynomial order-2 recurrences map directly to a PCF")
-        return PCF(self.coeffs[0], self.coeffs[1])
 
 
 @dataclass(frozen=True)
@@ -180,25 +177,45 @@ class ApproxValue:
         return max(0, int(-mp.log10(abs(self.error_bound))))
 
 
-# -- integerized step products -------------------------------------------------
+# -- the exact product engine ---------------------------------------------------
 
 
-def _integer_factor(mat_rf: Mat, n: int):
-    """Evaluate a rational-function matrix at n, scaled to (int matrix, int den)."""
-    vals = []
-    for row in mat_rf.rows:
-        vrow = []
-        for e in row:
-            if e.den(n) == 0:
-                raise PoleError(n)
-            vrow.append(e(n))
-        vals.append(vrow)
-    den = 1
-    for row in vals:
-        for v in row:
-            den = lcm(den, v.denominator)
-    ints = [[int(v * den) for v in row] for row in vals]
-    return ints, den
+def _horner(coeffs, n: int) -> int:
+    acc = 0
+    for c in coeffs:
+        acc = acc * n + c
+    return acc
+
+
+def _factors(cm: CompanionMatrix, lo: int, hi: int):
+    """Yield (integer matrix, integer den) with cm(n) = matrix / den, n = lo..hi.
+
+    The denominators are cleared once per call: entry (i, j) at n is
+    ``nums[i][j](n) / (scale * dens[i][j](n))`` with integer coefficient
+    lists (highest power first), so a factor costs integer Horner steps
+    only; a polynomial companion (every denominator 1) skips ``dens``.
+    """
+    rows = cm.matrix.rows
+    scale = lcm(*(c.denominator for row in rows for e in row for c in e.num.coeffs))
+    nums = [
+        [[c.numerator * (scale // c.denominator) for c in reversed(e.num.coeffs)] for e in row]
+        for row in rows
+    ]
+    dens = [[[int(c) for c in reversed(e.den.coeffs)] for e in row] for row in rows]
+    polynomial = all(e.is_polynomial() for row in rows for e in row)
+    for n in range(lo, hi + 1):
+        ints = [[_horner(p, n) for p in row] for row in nums]
+        if polynomial:
+            yield ints, scale
+            continue
+        ds = [[_horner(q, n) for q in row] for row in dens]
+        if any(d == 0 for row in ds for d in row):
+            raise PoleError(n)
+        common = lcm(*(d for row in ds for d in row))
+        yield (
+            [[v * (common // d) for v, d in zip(vr, dr)] for vr, dr in zip(ints, ds)],
+            scale * common,
+        )
 
 
 def _imat_mul(a, b):
@@ -221,64 +238,27 @@ def _split_product(factors, lo, hi):
 
 def step_product(cm: CompanionMatrix, lo: int, hi: int) -> StepMatrix:
     """Exact product of cm(n) for n = lo..hi; empty range (lo > hi) gives I."""
-    m = cm.order
     if lo > hi:
-        return StepMatrix(identity(m), lo, hi)
-    ints = []
-    dens = []
-    for n in range(lo, hi + 1):
-        im, d = _integer_factor(cm.matrix, n)
-        ints.append(im)
-        dens.append(d)
-    prod = _split_product(ints, 0, len(ints) - 1)
-    den = 1
-    for d in dens:
-        den *= d
-    frac = Mat([[Fraction(v, den) for v in row] for row in prod])
+        return StepMatrix(identity(cm.order), lo, hi)
+    ints, dens = zip(*_factors(cm, lo, hi))
+    top = _split_product(ints, 0, len(ints) - 1)
+    den = prod(dens)
+    frac = Mat([[Fraction(v, den) for v in row] for row in top])
     return StepMatrix(frac, lo, hi)
 
 
-class _RunningProduct:
-    """Sequential exact step products, exposing convergents one depth at a time."""
+def _products_at_depths(pcf: PCF, init: InitialConditions | None, start: int, depths):
+    """``init * step_product(start .. start + d - 1)`` for each increasing depth d.
 
-    def __init__(self, cm: CompanionMatrix, init: InitialConditions | None, start: int = 1):
-        m = cm.order
-        base = init.matrix if init is not None else identity(m)
-        self.cm = cm
-        self.n = start - 1
-        den = 1
-        for row in base.rows:
-            for f in row:
-                den = lcm(den, f.denominator)
-        self.ints = [
-            [f.numerator * (den // f.denominator) for f in row] for row in base.rows
-        ]
-        self.den = den
-
-    def advance(self):
-        self.n += 1
-        fac, d = _integer_factor(self.cm.matrix, self.n)
-        self.ints = _imat_mul(self.ints, fac)
-        self.den *= d
-
-    def convergent(self):
-        """Moebius action on 0: ratio of the last-column entries (rows -2, -1)."""
-        num = self.ints[-2][-1]
-        den = self.ints[-1][-1]
-        if den == 0:
-            return INF
-        return Fraction(num, den)
-
-
-def convergent_sequence(
-    pcf: PCF, depth: int, init: InitialConditions | None = None, start: int = 1
-) -> list:
-    """Exact convergents at depths 1..depth (Fraction or INF per entry)."""
-    rp = _RunningProduct(pcf.companion(), init, start)
-    out = []
-    for _ in range(depth):
-        rp.advance()
-        out.append(rp.convergent())
+    Each product extends the one before it, so every factor is taken once.
+    """
+    cm = pcf.companion()
+    m = init.matrix if init is not None else identity(2)
+    out, done = [], 0
+    for d in depths:
+        m = m * step_product(cm, start + done, start + d - 1).matrix
+        out.append(m)
+        done = d
     return out
 
 
@@ -288,14 +268,25 @@ def convergent_pairs(
     """(numerator, denominator) integer pairs of the convergents, unreduced.
 
     Skipping the gcd reduction matters when thousands of large convergents
-    feed a float conversion (extrapolation); values equal convergent_sequence.
+    feed a float conversion (extrapolation); the ratios are the
+    convergents, and for an integer PCF with an integer ``init`` the pairs
+    are the last column of the exact product itself.
     """
-    rp = _RunningProduct(pcf.companion(), init, start)
+    base = init.matrix if init is not None else identity(2)
+    den = lcm(*(f.denominator for row in base.rows for f in row))
+    ints = [[f.numerator * (den // f.denominator) for f in row] for row in base.rows]
     out = []
-    for _ in range(depth):
-        rp.advance()
-        out.append((rp.ints[-2][-1], rp.ints[-1][-1]))
+    for fac, _ in _factors(pcf.companion(), start, start + depth - 1):
+        ints = _imat_mul(ints, fac)
+        out.append((ints[-2][-1], ints[-1][-1]))
     return out
+
+
+def convergent_sequence(
+    pcf: PCF, depth: int, init: InitialConditions | None = None, start: int = 1
+) -> list:
+    """Exact convergents at depths 1..depth (Fraction or INF per entry)."""
+    return [Fraction(p, q) if q else INF for p, q in convergent_pairs(pcf, depth, init, start)]
 
 
 def mobius_apply(m: Mat, x):
@@ -324,9 +315,8 @@ def convergent(pcf: PCF, depth: int, init: InitialConditions | None = None, star
     Depth 0 returns init applied to 0.  Raises ZeroDivisionError when the
     denominator vanishes at this exact depth.
     """
-    sp = step_product(pcf.companion(), start, start + depth - 1)
-    base = init.matrix if init is not None else identity(2)
-    v = mobius_apply(base * sp.matrix, Fraction(0))
+    (m,) = _products_at_depths(pcf, init, start, [depth])
+    v = mobius_apply(m, Fraction(0))
     if v is INF:
         raise ZeroDivisionError(f"zero denominator at depth {depth}")
     return v
@@ -582,32 +572,20 @@ def evaluate_limit(
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
-    start = pcf.first_valid_index()
-    for _ in range(16):
-        try:
-            lim = _evaluate_limit_from(
-                pcf, init, depth, precision_digits, accelerate, start
-            )
-        except PoleError as exc:
-            start = exc.index + 1
-            continue
-        # no bound may claim more digits than the rounded value carries
-        workdps = precision_digits + 15
-        with mp.workdps(workdps):
-            lim.error_bound = max(lim.error_bound, _rounding(lim.value, workdps))
-        return lim
-    raise PoleError(start)
+    lim = _evaluate_limit_from(
+        pcf, init, depth, precision_digits, accelerate, pcf.first_valid_index()
+    )
+    # no bound may claim more digits than the rounded value carries
+    workdps = precision_digits + 15
+    with mp.workdps(workdps):
+        lim.error_bound = max(lim.error_bound, _rounding(lim.value, workdps))
+    return lim
 
 
 def _evaluate_limit_from(pcf, init, depth, precision_digits, accelerate, start):
-    cm = pcf.companion()
-    q1 = step_product(cm, start, start + depth // 4 - 1)
-    q2 = step_product(cm, start + depth // 4, start + depth // 2 - 1)
-    rest = step_product(cm, start + depth // 2, start + depth - 1)
-    base = init.matrix if init is not None else identity(2)
-    m_quarter = base * q1.matrix
-    m_half = m_quarter * q2.matrix
-    m_full = m_half * rest.matrix
+    m_quarter, m_half, m_full = _products_at_depths(
+        pcf, init, start, [depth // 4, depth // 2, depth]
+    )
     x_quarter = mobius_apply(m_quarter, Fraction(0))
     x_half = mobius_apply(m_half, Fraction(0))
     x_full = mobius_apply(m_full, Fraction(0))

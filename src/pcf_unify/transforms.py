@@ -91,8 +91,6 @@ def inflate(rec: Recurrence, c) -> Recurrence:
     for rf in new_coeffs:
         den = poly_lcm(den, rf.den)
     polys = [(rf * RF(den)).as_poly() for rf in new_coeffs]
-    if den.degree == 0 and den[0] == 1:
-        return Recurrence(coeffs=polys)
     return Recurrence(coeffs=polys, den=den)
 
 
@@ -166,12 +164,7 @@ def companion_reduce(m: Mat) -> tuple[Recurrence, Mat, TransformTrace]:
     den = poly_lcm(a_rf.den, b_rf.den)
     a_num = (a_rf * RF(den)).as_poly()
     b_num = (b_rf * RF(den)).as_poly()
-    rec = (
-        Recurrence(coeffs=[a_num, b_num])
-        if den.degree == 0 and den[0] == 1
-        else Recurrence(coeffs=[a_num, b_num], den=den)
-    )
-    return rec, u, trace
+    return Recurrence(coeffs=[a_num, b_num], den=den), u, trace
 
 
 # -- canonical form ---------------------------------------------------------------

@@ -151,6 +151,42 @@ def test_validate_rejects_rational_limit(ctx):
     assert out.reason == "identification-failed"
 
 
+@pytest.mark.parametrize("a, b", [("n-n", "1"), ("0", "n^2+1"), ("0", "1")])
+def test_validate_rejects_zero_limit(ctx, a, b):
+    # a(n) = 0 makes every convergent 0: a rational limit, so PSLQ has
+    # nothing to identify, and the record is rejected rather than crashing
+    (rec,) = ingest_corpus(
+        corpus([{"id": "zero", "constant": "pi", "kind": "pcf", "payload": {"a": a, "b": b}}])
+    )
+    out = validate_formula(rec, ctx)
+    assert isinstance(out, Rejection)
+    assert out.reason == "identification-failed"
+
+
+def test_cli_cluster_lists_zero_limit_as_rejected(tmp_path):
+    from pcf_unify.cli import main
+
+    path = tmp_path / "corpus.json"
+    path.write_text(
+        json.dumps(
+            corpus(
+                [
+                    {"id": "zero", "constant": "pi", "kind": "pcf",
+                     "payload": {"a": "0", "b": "1"}},
+                    {"id": "leibniz", "constant": "pi", "kind": "pcf",
+                     "payload": {"a": "2", "b": "(2n-1)^2"}},
+                ]
+            )
+        )
+    )
+    assert main(["cluster", str(path), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "clusters.json").read_text())
+    assert summary["node_count"] == 1
+    assert [(r["id"], r["reason"]) for r in summary["rejected"]] == [
+        ("zero", "identification-failed")
+    ]
+
+
 def test_validate_rejects_telescoping(ctx):
     recs = ingest_corpus(
         corpus(

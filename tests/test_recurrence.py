@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcf_unify import recurrence
@@ -85,16 +85,64 @@ def test_mobius_conventions():
     assert mobius_apply(Mat([[1, 0], [0, 0]]).map(Fraction), Fraction(1)) is INF
 
 
-def test_binary_splitting_equals_naive():
-    p = pcf("2n+1", "n^2")
-    cm = p.companion()
-    sp = step_product(cm, 1, 37)
-    naive = identity(2)
-    for n in range(1, 38):
-        naive = naive * Mat(
-            [[Fraction(0), Fraction(p.b(n))], [Fraction(1), Fraction(p.a(n))]]
-        )
-    assert sp.matrix == naive
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+rational_polys = st.lists(small_fractions, min_size=1, max_size=3).map(Poly)
+init_matrices = st.none() | st.lists(small_fractions, min_size=4, max_size=4).filter(
+    any
+).map(lambda v: InitialConditions(Mat([v[:2], v[2:]])))
+
+
+@given(
+    rational_polys,
+    rational_polys.filter(bool),
+    init_matrices,
+    st.sampled_from([1, 2]),
+    st.integers(min_value=1, max_value=40),
+    st.none() | st.integers(min_value=1, max_value=3),
+)
+@example(parse_poly("2n+1"), parse_poly("n^2"), None, 1, 37, None)
+@settings(max_examples=60, deadline=None)
+def test_binary_splitting_equals_naive(a, b, init, start, depth, pole_free_shift):
+    """The product engine against the naive Fraction product of the factors."""
+    from pcf_unify.ratfunc import RationalFunction as RF
+
+    p = PCF(a, b)
+    base = init.matrix if init is not None else identity(2)
+    naive, prefixes = identity(2), []
+    for n in range(start, start + depth):
+        naive = naive * Mat([[Fraction(0), b(n)], [Fraction(1), a(n)]])
+        prefixes.append(base * naive)
+    assert step_product(p.companion(), start, start + depth - 1).matrix == naive
+    if pole_free_shift is not None:
+        # a rational companion: b(n) / (n + shift), no pole for n >= 1
+        d = N + pole_free_shift
+        cm = recurrence.CompanionMatrix(Mat([[RF(0), RF(b, d)], [RF(1), RF(a)]]))
+        by_hand = identity(2)
+        for n in range(start, start + depth):
+            by_hand = by_hand * Mat([[Fraction(0), b(n) / d(n)], [Fraction(1), a(n)]])
+        assert step_product(cm, start, start + depth - 1).matrix == by_hand
+
+    columns = [(m[0, 1], m[1, 1]) for m in prefixes]
+    pairs = recurrence.convergent_pairs(p, depth, init, start)
+    entries = list(a.coeffs) + list(b.coeffs) + [e for row in base for e in row]
+    if all(Fraction(e).denominator == 1 for e in entries):
+        assert pairs == columns
+    else:  # a positive common scale per depth: the same ratios and signs
+        for (u, v), (cu, cv) in zip(pairs, columns, strict=True):
+            assert u * cv == v * cu
+            assert (u > 0, u < 0, v > 0, v < 0) == (cu > 0, cu < 0, cv > 0, cv < 0)
+    depths = [depth // 4, depth // 2, depth]
+    at_depths = recurrence._products_at_depths(p, init, start, depths)
+    assert at_depths == [prefixes[k - 1] if k else base for k in depths]
+    exact = [Fraction(cu) / cv if cv else INF for cu, cv in columns]
+    assert convergent_sequence(p, depth, init, start) == exact
+    for k in (0, depth // 2, depth):
+        want = mobius_apply(base, Fraction(0)) if k == 0 else exact[k - 1]
+        if want is INF:
+            with pytest.raises(ZeroDivisionError):
+                convergent(p, k, init, start)
+        else:
+            assert convergent(p, k, init, start) == want
 
 
 def test_pole_reporting():
