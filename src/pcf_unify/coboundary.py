@@ -24,7 +24,12 @@ from math import gcd, lcm
 
 import mpmath as mp
 
-from .linalg import nullspace, nullspace_with_prefilter, primitive_ints
+from .linalg import (
+    nullspace,
+    nullspace_with_prefilter,
+    primitive_ints,
+    rational_fit_screen,
+)
 from .matrix import Mat, adjugate2, det2
 from .metrics import convergence_rate, irrationality_delta, rate_ratio
 from .parsing import parse_poly
@@ -161,7 +166,7 @@ class SingularAt(ArithmeticError):
 
 
 def _eval_mat(m: Mat, n: int) -> Mat:
-    return m.map(lambda p: Fraction(p(n)) if isinstance(p, (Poly,)) else Fraction(p(n)))
+    return m.map(lambda p: Fraction(p(n)))
 
 
 def propagate_u(a_mat: Mat, b_mat: Mat, u1: Mat, depth: int) -> list[Mat]:
@@ -205,21 +210,30 @@ def choose_normalization_entry(us: list[Mat]) -> tuple[tuple[int, int], int]:
 
 
 # -- step 4: rational-function fit ------------------------------------------------------
+#
+# Screen first (one mod-p pass per entry), then one exact lift per accepted split.
 
 
 def fit_rational_function(samples, degree_cap: int = 24):
     """Fit one entry: P/Q with P(t) = v * Q(t) on every sample, minimal total degree.
 
-    ``samples`` is a list of (index, Fraction).  Returns an RF or None; the
-    string "underdetermined" is returned when every attempt ran out of
-    samples before the cap, signaling the caller to deepen propagation.
+    ``samples`` is a list of (index, Fraction).  Splits are tried by total
+    degree, deg P upward within a total; a split the mod-p screen rejects has
+    no rational solution and is skipped, and each accepted one gets one exact
+    solve (an unlucky prime just falls through to the next split).  Returns
+    an RF or None; the string "underdetermined" is returned when every
+    attempt ran out of samples before the cap, signaling the caller to
+    deepen propagation.
     """
+    feasible = rational_fit_screen(samples)
     ran_out = False
     for total in range(0, degree_cap + 1):
         for dn in range(0, total + 1):
             dd = total - dn
             if 2 * (dn + dd + 2) > len(samples):
                 ran_out = True
+                continue
+            if not feasible(dn, dd):
                 continue
             rows = []
             for t, v in samples:
@@ -343,8 +357,6 @@ def verify_coboundary(a_mat: Mat, b_mat: Mat, u) -> CoboundaryCertificate:
     if lhs != rhs:  # pragma: no cover - guarded above
         raise VerificationError("expanded identity failed after factor extraction")
     return CoboundaryCertificate(u=u_poly, p_a=p_a, p_b=p_b, verified=True)
-
-
 
 
 def reverse_certificate(

@@ -12,9 +12,10 @@ rational infeasibility.
 This module is also the one home of two decisions other modules share:
 ``primitive_ints`` (scale a vector to coprime integers, first nonzero entry
 positive) normalises nullspace bases, Moebius matrices, propagated U(n)
-and initial conditions; ``residues_mod_p`` and ``rank_mod_p`` are the
-modular kernel behind both this prefilter and the recurrence screen in
-``guess``.
+and initial conditions; ``residues_mod_p`` is the modular kernel of three
+screens: this prefilter and the recurrence screen in ``guess`` (both
+through ``rank_mod_p``), and ``rational_fit_screen``, which settles every
+(deg P, deg Q) split of a rational fit with one extended-Euclid pass.
 """
 
 from __future__ import annotations
@@ -94,6 +95,80 @@ def nullspace_dim_mod_p(rows, p: int = _FILTER_PRIME) -> int:
     return ncols - rank_mod_p(np.array(red, dtype=np.int64), p)
 
 
+def _times_x_minus(poly: list[int], a: int, p: int) -> list[int]:
+    """poly * (x - a) mod p; coefficients low to high."""
+    out = [0] + poly
+    for k, c in enumerate(poly):
+        out[k] = (out[k] - c * a) % p
+    return out
+
+
+def _poly_rem_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """Remainder of a by b mod p, trimmed; b trimmed and nonzero."""
+    a = a[:]
+    inv = pow(b[-1], -1, p)
+    for shift in range(len(a) - len(b), -1, -1):
+        c = a.pop() * inv % p
+        for k, bk in enumerate(b[:-1]):
+            a[shift + k] = (a[shift + k] - c * bk) % p
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def rational_fit_screen(samples, p: int = _FILTER_PRIME):
+    """Predicate ``feasible(dn, dd)``: does P(t) = v Q(t) on every (t, v) in
+    ``samples``, deg P <= dn, deg Q <= dd, have a nonzero solution mod p?
+
+    It answers ``nullspace_dim_mod_p(rows) > 0`` for the rows
+    [1, t, .., t^dn, -v, -v t, .., -v t^dd] of every split at once (Cauchy
+    interpolation; von zur Gathen & Gerhard, *Modern Computer Algebra*,
+    Lemma 5.15): a sample whose denominator vanishes mod p is dropped as its
+    row would be; V interpolates the m remaining points and M = prod (x - t);
+    the extended Euclidean algorithm on (M, V) gives remainders r_j with
+    cofactor degrees deg t_j = m - deg r_{j-1}.  With more unknowns than rows
+    the answer is yes; otherwise it is deg t_j <= dd for the first j with
+    deg r_j <= dn.  Indices that coincide mod p make every split feasible,
+    which keeps the screen conservative.
+    """
+    pts = []
+    for t, v in samples:
+        res = residues_mod_p([v], p)
+        if res is not None:
+            pts.append((t % p, res[0]))
+    m = len(pts)
+    xs = [t for t, _ in pts]
+    if len(set(xs)) < m:
+        return lambda dn, dd: True
+    # Newton divided differences, then V and M expanded by Horner
+    coef = [v for _, v in pts]
+    for k in range(1, m):
+        for i in range(m - 1, k - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) * pow(xs[i] - xs[i - k], -1, p) % p
+    interp, modulus = [], [1]
+    for x, c in zip(reversed(xs), reversed(coef)):
+        interp = _times_x_minus(interp, x, p)
+        interp[0] = (interp[0] + c) % p
+        modulus = _times_x_minus(modulus, x, p)
+    while interp and interp[-1] == 0:
+        interp.pop()
+    # (deg r_j, deg t_j) for j = 1 .. l+1, the last remainder being zero
+    steps = []
+    prev, cur = modulus, interp
+    while True:
+        steps.append((len(cur) - 1, m - (len(prev) - 1)))
+        if not cur:
+            break
+        prev, cur = cur, _poly_rem_mod_p(prev, cur, p)
+
+    def feasible(dn: int, dd: int) -> bool:
+        if dn + dd + 2 > m:
+            return True
+        return next(dt for dr, dt in steps if dr <= dn) <= dd
+
+    return feasible
+
+
 def nullspace(rows) -> list[list[Fraction]]:
     """Basis of the rational nullspace of a homogeneous system.
 
@@ -158,8 +233,9 @@ def _unit(n, j):
 
 
 def nullspace_with_prefilter(rows) -> list[list[Fraction]]:
-    """nullspace(), but returning [] fast when the mod-p filter proves emptiness."""
-    rows = [list(map(Fraction, r)) for r in rows]
+    """nullspace() of rows of ints or Fractions, but returning [] fast when the
+    mod-p filter proves emptiness."""
+    rows = list(rows)
     if not rows:
         return []
     if nullspace_dim_mod_p(rows) == 0:

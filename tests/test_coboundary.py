@@ -6,11 +6,16 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pcf_unify import coboundary
 
 from pcf_unify.coboundary import (
     CoboundaryCertificate,
     MatchContext,
     VerificationError,
+    fit_rational_function,
     lemma_limit_check,
     match_pair,
     propagate_u,
@@ -18,8 +23,11 @@ from pcf_unify.coboundary import (
     solve_initial_u,
     verify_coboundary,
 )
+from pcf_unify.linalg import nullspace_with_prefilter
 from pcf_unify.matrix import Mat, projective_eq
 from pcf_unify.parsing import parse_poly
+from pcf_unify.poly import Poly
+from pcf_unify.ratfunc import RationalFunction
 from pcf_unify.recurrence import PCF
 from pcf_unify.transforms import fold_pcf
 
@@ -208,3 +216,80 @@ def shared_ctx():
 @pytest.fixture(scope="module")
 def zeta3_ctx():
     return MatchContext(constant="zeta3")
+
+
+def _sweep_fit(samples, degree_cap=24):
+    """Reference fit: every (deg P, deg Q) split goes to the prefiltered
+    exact solve, in fit_rational_function's order."""
+    ran_out = False
+    for total in range(degree_cap + 1):
+        for dn in range(total + 1):
+            dd = total - dn
+            if 2 * (dn + dd + 2) > len(samples):
+                ran_out = True
+                continue
+            rows = [
+                [Fraction(t) ** k for k in range(dn + 1)]
+                + [-v * Fraction(t) ** k for k in range(dd + 1)]
+                for t, v in samples
+            ]
+            for vec in nullspace_with_prefilter(rows):
+                p, q = Poly(vec[: dn + 1]), Poly(vec[dn + 1 :])
+                if not q.is_zero() and all(q(t) != 0 for t, _ in samples):
+                    return RationalFunction(p, q)
+    return "underdetermined" if ran_out else None
+
+
+@st.composite
+def entry_samples(draw):
+    """Consecutive-index samples of a rational function of total degree <= 6,
+    or of a sequence that is not one."""
+    start = draw(st.integers(1, 5))
+    count = draw(st.integers(12, 40))
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    if draw(st.booleans()):
+        dn = draw(st.integers(0, 6))
+        num = draw(st.lists(coeff, min_size=dn + 1, max_size=dn + 1))
+        den = draw(st.lists(coeff, min_size=1, max_size=7 - dn).filter(any))
+        values = []
+        for t in range(start, start + count):
+            q = sum(c * t**k for k, c in enumerate(den))
+            if q:
+                values.append((t, sum(c * t**k for k, c in enumerate(num)) / q))
+        return values
+    kind = draw(st.sampled_from(["random", "geometric", "harmonic"]))
+    if kind == "random":
+        return [(t, draw(coeff)) for t in range(start, start + count)]
+    if kind == "geometric":
+        r = draw(st.sampled_from([Fraction(2), Fraction(-3, 2), Fraction(5, 3)]))
+        return [(t, r**t) for t in range(start, start + count)]
+    h = Fraction(0)
+    values = []
+    for t in range(1, start + count):
+        h += Fraction(1, t)
+        if t >= start:
+            values.append((t, h))
+    return values
+
+
+@given(entry_samples(), st.sampled_from([3, 8, 24]))
+@settings(max_examples=30, deadline=None)
+def test_fit_matches_full_sweep(samples, degree_cap):
+    fit = fit_rational_function(samples, degree_cap)
+    ref = _sweep_fit(samples, degree_cap)
+    assert type(fit) is type(ref) and fit == ref
+
+
+def test_fit_screen_skips_every_infeasible_split(monkeypatch):
+    calls = []
+
+    def counting(rows):
+        calls.append(1)
+        return nullspace_with_prefilter(rows)
+
+    monkeypatch.setattr(coboundary, "nullspace_with_prefilter", counting)
+    # 56 samples of 2^n: all 325 splits up to total degree 24 fit in the
+    # samples, and none has a solution, so none needs an exact solve
+    samples = [(t, Fraction(2) ** t) for t in range(1, 57)]
+    assert fit_rational_function(samples, degree_cap=24) is None
+    assert calls == []

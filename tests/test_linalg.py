@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from pcf_unify.guess import _candidate_rows, _mod_p_solvable
 from pcf_unify.linalg import (
+    _FILTER_PRIME,
     nullspace,
     nullspace_dim_mod_p,
     nullspace_with_prefilter,
     primitive_ints,
+    rational_fit_screen,
 )
 
 
@@ -125,3 +127,55 @@ def test_recurrence_screen_matches_prefilter(candidate):
     terms, m, d, rows_used = candidate
     rows = _candidate_rows(terms, m, d, rows_used)
     assert _mod_p_solvable(terms, m, d, rows_used) == (nullspace_dim_mod_p(rows) > 0)
+
+
+def _fit_rows(samples, dn, dd):
+    """The rows of fit_rational_function's (deg P, deg Q) = (dn, dd) system."""
+    return [
+        [Fraction(t) ** k for k in range(dn + 1)]
+        + [-v * Fraction(t) ** k for k in range(dd + 1)]
+        for t, v in samples
+    ]
+
+
+@st.composite
+def fit_samples(draw):
+    """(index, value) samples at distinct indices: values of a random rational
+    function, a random sequence, or either with one value whose denominator
+    is a multiple of the prime (its row is dropped mod p)."""
+    ts = draw(st.lists(st.integers(1, 60), min_size=1, max_size=14, unique=True))
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    if draw(st.booleans()):
+        num = draw(st.lists(coeff, min_size=1, max_size=5))
+        den = draw(st.lists(coeff, min_size=1, max_size=4).filter(any))
+        samples = []
+        for t in ts:
+            q = sum(c * t**k for k, c in enumerate(den))
+            if q:
+                samples.append((t, sum(c * t**k for k, c in enumerate(num)) / q))
+    else:
+        samples = [(t, draw(coeff)) for t in ts]
+    if samples and draw(st.booleans()):
+        i = draw(st.integers(0, len(samples) - 1))
+        samples[i] = (samples[i][0], Fraction(1, _FILTER_PRIME * draw(st.integers(1, 3))))
+    return samples
+
+
+@given(fit_samples())
+@settings(max_examples=80, deadline=None)
+def test_rational_fit_screen_matches_prefilter(samples):
+    # up to 14 samples, so splits with more unknowns than rows occur as well
+    feasible = rational_fit_screen(samples)
+    for dn in range(11):
+        for dd in range(11 - dn):
+            rows = _fit_rows(samples, dn, dd) if samples else [[0] * (dn + dd + 2)]
+            assert feasible(dn, dd) == (nullspace_dim_mod_p(rows) > 0), (dn, dd)
+
+
+def test_rational_fit_screen_accepts_everything_on_repeated_indices():
+    # indices 1 and 1 + p coincide mod p, so no interpolant exists; the screen
+    # then rejects nothing, leaving every split to the exact solve
+    samples = [(1, Fraction(1)), (1 + _FILTER_PRIME, Fraction(2)), (2, Fraction(3))]
+    feasible = rational_fit_screen(samples)
+    assert all(feasible(dn, 3 - dn) for dn in range(4))
+    assert all(feasible(0, dd) for dd in range(3))
