@@ -116,9 +116,10 @@ def _poly_rem_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def rational_fit_screen(samples, p: int = _FILTER_PRIME):
+def rational_fit_screen(samples):
     """Predicate ``feasible(dn, dd)``: does P(t) = v Q(t) on every (t, v) in
-    ``samples``, deg P <= dn, deg Q <= dd, have a nonzero solution mod p?
+    ``samples``, deg P <= dn, deg Q <= dd, have a nonzero solution mod
+    ``_FILTER_PRIME``?
 
     It answers ``nullspace_dim_mod_p(rows) > 0`` for the rows
     [1, t, .., t^dn, -v, -v t, .., -v t^dd] of every split at once (Cauchy
@@ -131,6 +132,7 @@ def rational_fit_screen(samples, p: int = _FILTER_PRIME):
     deg r_j <= dn.  Indices that coincide mod p make every split feasible,
     which keeps the screen conservative.
     """
+    p = _FILTER_PRIME
     pts = []
     for t, v in samples:
         res = residues_mod_p([v], p)
