@@ -21,9 +21,11 @@ through ``rank_mod_p``), and ``rational_fit_screen``, which settles every
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
+
+from .poly import _poly_rem_mod_p, _scaled_ints
 
 # Large prime below 2^31 so products of two residues fit in int64.
 _FILTER_PRIME = 2_147_483_647
@@ -36,9 +38,7 @@ def primitive_ints(values) -> list[int]:
     and its first nonzero entry made positive; an all-zero input returns all
     zeros.  This is the normal form of anything known only up to scale.
     """
-    values = list(values)
-    den = lcm(*(x.denominator for x in values))
-    ints = [x.numerator * (den // x.denominator) for x in values]
+    ints, _ = _scaled_ints(list(values))
     g = gcd(*ints)
     if g == 0:
         return ints
@@ -101,19 +101,6 @@ def _times_x_minus(poly: list[int], a: int, p: int) -> list[int]:
     for k, c in enumerate(poly):
         out[k] = (out[k] - c * a) % p
     return out
-
-
-def _poly_rem_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a by b mod p, trimmed; b trimmed and nonzero."""
-    a = a[:]
-    inv = pow(b[-1], -1, p)
-    for shift in range(len(a) - len(b), -1, -1):
-        c = a.pop() * inv % p
-        for k, bk in enumerate(b[:-1]):
-            a[shift + k] = (a[shift + k] - c * bk) % p
-    while a and a[-1] == 0:
-        a.pop()
-    return a
 
 
 def rational_fit_screen(samples):

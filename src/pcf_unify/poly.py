@@ -5,6 +5,14 @@ the formal variable (conventionally printed as ``n``).  The trailing
 (highest-degree) coefficient is always nonzero; the zero polynomial is the
 empty tuple and has degree -1.
 
+That representation is what callers see; multiplication, division,
+evaluation and the integer-root search run on integer coefficient vectors
+with one common denominator (``_scaled_ints``, which ``poly_gcd`` and
+``linalg.primitive_ints`` use too) and build one reduced Fraction per result
+coefficient, instead of paying a gcd for every Fraction product and sum.
+``_poly_rem_mod_p`` is the package's one mod-p polynomial remainder, shared
+by the gcd degree check here and ``linalg.rational_fit_screen``.
+
 ``fractions.Fraction`` plays the role of the exact rational scalar
 throughout the package: it is always reduced and has a positive denominator,
 which is exactly the normalization the algorithms rely on.
@@ -14,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from math import lcm
 
 
 def _as_fraction(x) -> Fraction:
@@ -36,6 +45,15 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _reduced(cls, cs: list[Fraction]) -> "Poly":
+        """Poly from Fractions (reduced already), top zeros stripped."""
+        while cs and not cs[-1]:
+            cs.pop()
+        p = object.__new__(cls)
+        p.coeffs = tuple(cs)
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -103,13 +121,15 @@ class Poly:
         other = _coerce(other)
         if not self.coeffs or not other.coeffs:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        a, da = _scaled_ints(self.coeffs)
+        b, db = _scaled_ints(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        d = da * db
+        return Poly._reduced([Fraction(c, d) for c in out])
 
     __rmul__ = __mul__
 
@@ -128,20 +148,24 @@ class Poly:
         other = _coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
             return Poly(), self
+        # pseudo-division: the remainder is r / dr, and every step that
+        # clears a nonzero top rescales it by the divisor's integer lead
+        r, dr = _scaled_ints(self.coeffs)
+        b, db = _scaled_ints(other.coeffs)
+        lead, low = b[-1], b[:-1]
         quot = [Fraction(0)] * (dq + 1)
-        lead = other.leading()
         for shift in range(dq, -1, -1):
-            top = rem[shift + other.degree]
+            top = r.pop()
             if top:
-                f = top / lead
-                quot[shift] = f
-                for i, c in enumerate(other.coeffs):
-                    rem[shift + i] -= f * c
-        return Poly(quot), Poly(rem)
+                quot[shift] = Fraction(top * db, dr * lead)
+                r = [c * lead for c in r]
+                for i, c in enumerate(low):
+                    r[shift + i] -= top * c
+                dr *= lead
+        return Poly._reduced(quot), Poly._reduced([Fraction(c, dr) for c in r])
 
     def __floordiv__(self, other) -> "Poly":
         return divmod(self, other)[0]
@@ -162,10 +186,11 @@ class Poly:
         if isinstance(x, Poly):
             return self.compose(x)
         x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self.coeffs:
+            return Fraction(0)
+        a, d = _scaled_ints(self.coeffs)
+        v = x.denominator
+        return Fraction(_horner(a, x.numerator, v), d * v ** (len(a) - 1))
 
     def compose(self, inner: "Poly") -> "Poly":
         acc = Poly()
@@ -188,12 +213,8 @@ class Poly:
         """
         if not self.coeffs:
             return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = _int_gcd(num, c.numerator)
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-        return Fraction(num, den)
+        a, d = _scaled_ints(self.coeffs)
+        return Fraction(_int_gcd(*a), d)
 
     def primitive(self) -> "Poly":
         """self divided by its content (zero stays zero)."""
@@ -210,10 +231,25 @@ class Poly:
         return p
 
     def integer_roots(self, bound: int = 50) -> list[int]:
-        """Integer roots with |root| <= bound, by direct scan."""
+        """Integer roots with |root| <= bound, in increasing order.
+
+        A nonzero integer root divides the lowest nonzero coefficient of the
+        integer multiple (rational root theorem), so only such candidates
+        are evaluated.
+        """
         if self.is_zero():
             return []
-        return [r for r in range(-bound, bound + 1) if self(r) == 0]
+        a, _ = _scaled_ints(self.coeffs)
+        k = next(i for i, c in enumerate(a) if c)
+        a = a[k:]
+        roots = []
+        for r in range(-bound, bound + 1):
+            if r == 0:
+                if k:
+                    roots.append(0)
+            elif a[0] % r == 0 and _horner(a, r, 1) == 0:
+                roots.append(r)
+        return roots
 
     # -- formatting ----------------------------------------------------------
 
@@ -222,6 +258,22 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)})"
+
+
+def _scaled_ints(coeffs) -> tuple[list[int], int]:
+    """(ints, d) with coeffs[i] == ints[i] / d, d the lcm of the denominators."""
+    dens = [c.denominator for c in coeffs]
+    d = lcm(*dens)
+    return [c.numerator * (d // e) for c, e in zip(coeffs, dens)], d
+
+
+def _horner(a: list[int], u: int, v: int) -> int:
+    """v^deg * a(u / v) for a nonempty integer vector a, low to high."""
+    acc, w = a[-1], 1
+    for c in reversed(a[:-1]):
+        w *= v
+        acc = acc * u + c * w
+    return acc
 
 
 def _coerce(x) -> Poly:
@@ -264,11 +316,17 @@ def format_poly(p: Poly, var: str = "n") -> str:
 _GCD_PRIMES = (2_147_483_647, 2_147_483_629, 2_147_483_587)
 
 
-def _int_coeffs(p: Poly) -> list[int]:
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    return [int(c * den) for c in p.coeffs]
+def _poly_rem_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """Remainder of a by b mod p, trimmed; b trimmed and nonzero."""
+    a = a[:]
+    inv = pow(b[-1], -1, p)
+    for shift in range(len(a) - len(b), -1, -1):
+        c = a.pop() * inv % p
+        for k, bk in enumerate(b[:-1]):
+            a[shift + k] = (a[shift + k] - c * bk) % p
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
 def _gcd_degree_mod_p(a: list[int], b: list[int], prime: int) -> int | None:
@@ -286,15 +344,7 @@ def _gcd_degree_mod_p(a: list[int], b: list[int], prime: int) -> int | None:
     if len(am) != len(a) or len(bm) != len(b):
         return None  # leading coefficient vanished: bad prime
     while bm:
-        inv = pow(bm[-1], -1, prime)
-        while len(am) >= len(bm):
-            f = am[-1] * inv % prime
-            off = len(am) - len(bm)
-            for i, c in enumerate(bm):
-                am[off + i] = (am[off + i] - f * c) % prime
-            while am and am[-1] == 0:
-                am.pop()
-        am, bm = bm, am
+        am, bm = bm, _poly_rem_mod_p(am, bm, prime)
     return len(am) - 1
 
 
@@ -311,7 +361,8 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return p.monic_primitive()
     if p.degree == 0 or q.degree == 0:
         return ONE
-    a, b = _int_coeffs(p), _int_coeffs(q)
+    a, _ = _scaled_ints(p.coeffs)
+    b, _ = _scaled_ints(q.coeffs)
     for prime in _GCD_PRIMES:
         deg = _gcd_degree_mod_p(a, b, prime)
         if deg == 0:
@@ -389,9 +440,7 @@ def low_degree_factors(p: Poly, root_bound: int = 50):
     while rem.degree >= 1 and rem[0] == 0:
         rem = Poly(rem.coeffs[1:])
         factors.append(Poly([0, 1]))
-    for r in range(-root_bound, root_bound + 1):
-        if r == 0:
-            continue
+    for r in rem.integer_roots(root_bound):
         lin = Poly([-r, 1])
         while rem.degree >= 1 and rem(r) == 0:
             rem = (rem // lin).monic_primitive()

@@ -113,3 +113,163 @@ def test_gcd_divides_both(p, q, m):
         assert g.divides(q * m)
     if not (p.is_zero() and q.is_zero()) and not m.is_zero():
         assert g.degree >= m.degree  # common factor m must show up
+
+
+# -- the integer kernel against the Fraction loops it replaced ----------------
+
+
+def ref_mul(p: Poly, q: Poly) -> Poly:
+    if not p.coeffs or not q.coeffs:
+        return Poly()
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        if a == 0:
+            continue
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Poly(out)
+
+
+def ref_divmod(p: Poly, q: Poly):
+    rem = list(p.coeffs)
+    dq = len(rem) - len(q.coeffs)
+    if dq < 0:
+        return Poly(), p
+    quot = [Fraction(0)] * (dq + 1)
+    lead = q.leading()
+    for shift in range(dq, -1, -1):
+        top = rem[shift + q.degree]
+        if top:
+            f = top / lead
+            quot[shift] = f
+            for i, c in enumerate(q.coeffs):
+                rem[shift + i] -= f * c
+    return Poly(quot), Poly(rem)
+
+
+def ref_call(p: Poly, x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * Fraction(x) + c
+    return acc
+
+
+def ref_integer_roots(p: Poly, bound: int) -> list[int]:
+    if p.is_zero():
+        return []
+    return [r for r in range(-bound, bound + 1) if ref_call(p, r) == 0]
+
+
+# numerators and denominators up to 10^30, so denominators are large and
+# mostly coprime; the list strategies include the zero polynomial and constants
+big_rationals = st.builds(
+    Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)
+)
+mixed_rationals = st.one_of(rationals, big_rationals, st.integers(-5, 5).map(Fraction))
+
+
+@st.composite
+def mixed_polys(draw, max_degree=7):
+    return Poly(draw(st.lists(mixed_rationals, max_size=max_degree + 1)))
+
+
+@st.composite
+def nonzero_lead_polys(draw, max_degree=5):
+    """Divisors whose leading coefficient is rarely +-1."""
+    lead = draw(mixed_rationals.filter(lambda c: c != 0))
+    return Poly(draw(st.lists(mixed_rationals, max_size=max_degree)) + [lead])
+
+
+@given(mixed_polys(), mixed_polys())
+@settings(max_examples=200, deadline=None)
+def test_mul_matches_fraction_loop(p, q):
+    assert (p * q).coeffs == ref_mul(p, q).coeffs
+
+
+@given(mixed_polys(max_degree=9), nonzero_lead_polys())
+@settings(max_examples=200, deadline=None)
+def test_divmod_matches_fraction_loop(p, q):
+    quot, rem = divmod(p, q)
+    ref_quot, ref_rem = ref_divmod(p, q)
+    assert quot.coeffs == ref_quot.coeffs
+    assert rem.coeffs == ref_rem.coeffs
+
+
+def test_divmod_high_degree_matches_fraction_loop():
+    p = Poly([Fraction((-1) ** i * (i * i + 1), 3 * i + 2) for i in range(121)])
+    q = Poly([Fraction(7 - i, 5 + 2 * i) for i in range(10)] + [Fraction(-9, 4)])
+    assert divmod(p, q) == ref_divmod(p, q)
+
+
+@given(mixed_polys(), st.one_of(mixed_rationals, st.integers(-(10**6), 10**6)))
+@settings(max_examples=200, deadline=None)
+def test_call_matches_fraction_horner(p, x):
+    value = p(x)
+    assert isinstance(value, Fraction)
+    assert value == ref_call(p, x)
+
+
+def test_call_on_negative_and_fractional_points():
+    p = Poly([Fraction(1, 3), -2, 0, Fraction(5, 7)])
+    for x in [-3, 0, 4, Fraction(-5, 2), Fraction(7, 11), Fraction(-1, 10**20)]:
+        assert p(x) == ref_call(p, x)
+    assert Poly()(Fraction(3, 2)) == 0
+    assert Poly.const(Fraction(-4, 9))(17) == Fraction(-4, 9)
+
+
+@given(
+    st.lists(st.integers(-40, 40), max_size=6),
+    st.lists(mixed_rationals, max_size=3),
+    mixed_rationals.filter(lambda c: c != 0),
+    st.integers(0, 45),
+)
+@settings(max_examples=150, deadline=None)
+def test_integer_roots_of_linear_factor_products(roots, cofactor, scale, bound):
+    p = Poly.const(scale) * Poly(cofactor + [1])
+    for r in roots:
+        p = p * Poly([-r, 1])
+    found = p.integer_roots(bound)
+    assert found == ref_integer_roots(p, bound)
+    assert set(found) >= {r for r in roots if abs(r) <= bound}
+
+
+@given(mixed_polys(max_degree=5), st.integers(0, 30))
+@settings(max_examples=100, deadline=None)
+def test_integer_roots_match_scan(p, bound):
+    assert p.integer_roots(bound) == ref_integer_roots(p, bound)
+
+
+GCD_TABLE = [
+    (N**2 - 1, N - 1, "n - 1"),
+    ((N - 2) ** 2 * (N + 3), (N - 2) * (2 * N + 1), "n - 2"),
+    (Poly([Fraction(1, 2), Fraction(3, 4)]) * (N + 1), (N + 1) * (N - 5) * Fraction(1, 7), "n + 1"),
+    (6 * N**2 + 5 * N + 1, N**2 + 7, "1"),
+    ((3 * N - 1) ** 2 * (N**2 + 1), (3 * N - 1) * (N**2 + 1) * (N + 4), "3*n^3 - n^2 + 3*n - 1"),
+    (Poly(), -4 * N + 2, "2*n - 1"),
+    (N**3, Fraction(5, 2) * N**2, "n^2"),
+    (Fraction(2, 3) * N**4 - Fraction(2, 3), Fraction(9, 10) * N**6 - Fraction(9, 10), "n^2 - 1"),
+]
+
+
+@pytest.mark.parametrize("p, q, expected", GCD_TABLE)
+def test_gcd_table(p, q, expected):
+    assert format_poly(poly_gcd(p, q)) == expected
+
+
+FACTOR_TABLE = [
+    ((N - 2) ** 2 * (N**2 + 1), 50, ["n - 2", "n - 2"], "n^2 + 1"),
+    (N**2 * (N + 50) * (N - 51), 50, ["n", "n", "n + 50"], "n - 51"),
+    (Fraction(5, 3) * (2 * N - 1) * (N + 3), 50, ["n + 3"], "2*n - 1"),
+    ((N + 1) ** 3 * (N - 4) * (3 * N**2 - 7), 50, ["n + 1"] * 3 + ["n - 4"], "3*n^2 - 7"),
+    ((N - 7) * (N + 9) * (N - 30), 10, ["n + 9", "n - 7"], "n - 30"),
+    (Poly([Fraction(1, 2), Fraction(-7, 6), Fraction(1, 3)]), 50, ["n - 3"], "2*n - 1"),
+    (Poly.const(Fraction(-4, 9)), 50, [], "1"),
+    (Poly(), 50, [], "0"),
+]
+
+
+@pytest.mark.parametrize("p, bound, factors, rem", FACTOR_TABLE)
+def test_low_degree_factors_table(p, bound, factors, rem):
+    got_factors, got_rem = low_degree_factors(p, bound)
+    assert [format_poly(f) for f in got_factors] == factors
+    assert format_poly(got_rem) == rem
