@@ -16,17 +16,23 @@ from pathlib import Path
 import mpmath as mp
 
 
-def _add_common(p):
-    p.add_argument("--depth", type=int, default=None, help="evaluation depth")
-    p.add_argument(
-        "--precision-digits", type=int, default=250, help="working decimal digits"
-    )
-    p.add_argument("--delta-tol", type=float, default=0.05)
-    p.add_argument("--fold-cap", type=int, default=12)
-    p.add_argument("--degree-cap", type=int, default=24)
-    p.add_argument("--radius", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--constant", default="pi", help="target constant name")
+# Each subcommand accepts only the tuning flags it reads.
+_FLAGS = {
+    "depth": dict(type=int, default=None, help="evaluation depth"),
+    "precision-digits": dict(type=int, default=250, help="working decimal digits"),
+    "delta-tol": dict(type=float, default=0.05),
+    "fold-cap": dict(type=int, default=12),
+    "degree-cap": dict(type=int, default=24),
+    "radius": dict(type=int, default=10),
+    "jobs": dict(type=int, default=1),
+    "constant": dict(default="pi", help="target constant name"),
+}
+_CTX_FLAGS = ("depth", "precision-digits", "delta-tol", "fold-cap", "degree-cap", "constant")
+
+
+def _add_flags(p, *names):
+    for name in names:
+        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def build_parser():
@@ -41,19 +47,18 @@ def build_parser():
 
     p = sub.add_parser("eval", help="evaluate the limit of a PCF")
     p.add_argument("pcf", help="PCF(a; b)")
-    _add_common(p)
+    _add_flags(p, "depth", "precision-digits")
 
     p = sub.add_parser("delta", help="finite-depth irrationality measure")
     p.add_argument("pcf")
-    _add_common(p)
+    _add_flags(p, "depth")
 
     p = sub.add_parser("rate", help="convergence rate (0 when below threshold)")
     p.add_argument("pcf")
-    _add_common(p)
+    _add_flags(p, "depth")
 
     p = sub.add_parser("canonicalize", help="canonical form of a PCF")
     p.add_argument("pcf")
-    _add_common(p)
 
     p = sub.add_parser("guess", help="fit a recurrence to a series")
     p.add_argument("term", help="series summand in the term grammar")
@@ -61,24 +66,22 @@ def build_parser():
     p.add_argument("--terms", type=int, default=200)
     p.add_argument("--max-order", type=int, default=3)
     p.add_argument("--max-degree", type=int, default=24)
-    _add_common(p)
 
     p = sub.add_parser("match", help="find a coboundary certificate for a pair")
     p.add_argument("a", help="PCF(a; b)")
     p.add_argument("b", help="PCF(a; b)")
     p.add_argument("--out", help="write the certificate JSON here")
-    _add_common(p)
+    _add_flags(p, *_CTX_FLAGS)
 
     p = sub.add_parser("verify", help="re-verify a certificate file")
     p.add_argument("certificate", help="certificate JSON path")
-    _add_common(p)
 
     p = sub.add_parser("cmf", help="conservative matrix field operations")
     p.add_argument("action", choices=["check", "trajectory", "scan"])
     p.add_argument("--file", help="CMF definition JSON (default: bundled pi field)")
     p.add_argument("--point", default="1/2,1/2,1/2")
     p.add_argument("--direction", default="1,0,0")
-    _add_common(p)
+    _add_flags(p, "radius", "depth")
 
     p = sub.add_parser("cluster", help="validate and cluster a corpus")
     p.add_argument("corpus", help="corpus JSON path, or 'bundled:pi' / 'bundled:table1'")
@@ -88,11 +91,10 @@ def build_parser():
         default="",
         help="comma-separated field directions to attach, e.g. '1,0,0;1,1,1'",
     )
-    _add_common(p)
+    _add_flags(p, *_CTX_FLAGS, "jobs")
 
     p = sub.add_parser("report", help="re-render the digest from a report directory")
     p.add_argument("outdir")
-    _add_common(p)
     return ap
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from importlib import resources
 from math import gcd
 
-from .matrix import Mat, projective_eq
+from .matrix import Mat, identity, mat_adjugate_inverse, projective_eq
 from .metrics import irrationality_delta
 from .multivar import MPoly
 from .parsing import parse_mrat
@@ -104,32 +104,42 @@ def _path_steps(cmf: CMF, direction) -> list[tuple[str, int]]:
     return steps
 
 
+def _walk(cmf: CMF, point, direction, restrict) -> Mat:
+    """Product of the canonical path's steps from ``point`` by ``direction``.
+
+    ``restrict(entry, position)`` turns a field entry at a lattice position
+    into a value (a number, or a function of n on a line); a negative step
+    is the adjugate of the step it undoes.
+    """
+    pos = [Fraction(p) for p in point]
+    out = None
+    for axis, sgn in _path_steps(cmf, direction):
+        k = cmf.variables.index(axis)
+        if sgn < 0:
+            pos[k] -= 1
+        try:
+            step = cmf.matrices[axis].map(lambda e: restrict(e, pos))
+            if sgn < 0:
+                step, _det = mat_adjugate_inverse(step)
+        except ZeroDivisionError as exc:
+            where = ", ".join(map(str, pos))
+            raise TrajectorySingularity(f"axis {axis} at ({where}): {exc}") from exc
+        if sgn > 0:
+            pos[k] += 1
+        out = step if out is None else out * step
+    if out is None:
+        raise ValueError("direction must be nonzero")
+    return out
+
+
 def displacement(cmf: CMF, point, direction) -> Mat:
     """Exact rational matrix carrying the walk from point to point+direction."""
     if len(point) != cmf.dim or len(direction) != cmf.dim:
         raise ValueError("point/direction length mismatch")
-    pos = {name: Fraction(p) for name, p in zip(cmf.variables, point)}
-    out = None
-    for axis, sgn in _path_steps(cmf, direction):
-        if sgn < 0:
-            pos[axis] -= 1
-        try:
-            vals = cmf.matrices[axis].map(lambda e: e.eval(pos))
-        except ZeroDivisionError as exc:
-            raise TrajectorySingularity(f"pole at {dict(pos)} on axis {axis}") from exc
-        if sgn < 0:
-            det = vals[0, 0] * vals[1, 1] - vals[0, 1] * vals[1, 0]
-            if det == 0:
-                raise TrajectorySingularity(f"singular step at {dict(pos)}")
-            vals = Mat([[vals[1, 1], -vals[0, 1]], [-vals[1, 0], vals[0, 0]]])
-        else:
-            pos[axis] += 1
-        out = vals if out is None else out * vals
-    if out is None:
-        from .matrix import identity
-
-        out = identity(cmf.rank)
-    return out
+    if not any(int(v) for v in direction):
+        return identity(cmf.rank)
+    names = cmf.variables
+    return _walk(cmf, point, direction, lambda e, pos: e.eval(dict(zip(names, pos))))
 
 
 @dataclass(frozen=True)
@@ -139,60 +149,23 @@ class TrajectoryMatrix:
     direction: tuple
 
 
-def _line_product(cmf: CMF, point, line_direction, step_direction) -> Mat:
-    """Displacement by ``step_direction`` with its base sliding along the line
-    point + (n-1)*line_direction, as a matrix over Q(n).
-
-    Built factor by factor: each step of the canonical path is substituted
-    onto the line first (a univariate matrix in n), then multiplied.
-    """
-    point = [Fraction(p) for p in point]
+def _on_line(line_direction):
+    """Restriction of an entry based at a lattice position to the line
+    position + (n-1)*line_direction, as a function of n."""
     line = [int(v) for v in line_direction]
-    offsets = {name: Fraction(0) for name in cmf.variables}
-    out = None
-    for axis, sgn in _path_steps(cmf, step_direction):
-        if sgn < 0:
-            offsets[axis] -= 1
-        base = [p + offsets[name] for name, p in zip(cmf.variables, point)]
-        try:
-            factor = cmf.matrices[axis].map(
-                lambda e: e.substitute_affine(base, line)
-            )
-        except ZeroDivisionError as exc:
-            raise TrajectorySingularity(str(exc)) from exc
-        if sgn < 0:
-            det = factor[0, 0] * factor[1, 1] - factor[0, 1] * factor[1, 0]
-            if det.is_zero():
-                raise TrajectorySingularity("identically singular step")
-            factor = Mat(
-                [[factor[1, 1], -factor[0, 1]], [-factor[1, 0], factor[0, 0]]]
-            )
-        else:
-            offsets[axis] += 1
-        out = factor if out is None else out * factor
-    if out is None:
-        raise ValueError("step direction must be nonzero")
-    return out
+    return lambda e, pos: e.substitute_affine(pos, line)
 
 
 def trajectory_matrix(cmf: CMF, point, direction) -> TrajectoryMatrix:
     """T(n) = M_v(point + (n-1) v): one step of the trajectory at time n."""
-    if all(int(v) == 0 for v in direction):
-        raise ValueError("direction must be nonzero")
-    m = _line_product(cmf, point, direction, direction)
+    m = _walk(cmf, point, direction, _on_line(direction))
     return TrajectoryMatrix(m, tuple(Fraction(p) for p in point), tuple(map(int, direction)))
 
 
 def parallel_gauge(cmf: CMF, point, line_direction, offset_direction) -> Mat:
     """U(n) = M_w(point + (n-1) v): the coboundary transform between the
     v-trajectories based at ``point`` and at ``point + w``."""
-    return _line_product(cmf, point, line_direction, offset_direction)
-
-
-def to_companion(traj: TrajectoryMatrix):
-    """Gauge the trajectory matrix to companion form; returns
-    (recurrence, gauge, trace) as in the reduction lemma."""
-    return companion_reduce(traj.matrix)
+    return _walk(cmf, point, offset_direction, _on_line(line_direction))
 
 
 def trajectory_pcf(cmf: CMF, point, direction, max_start_shifts: int = 8):
@@ -204,7 +177,7 @@ def trajectory_pcf(cmf: CMF, point, direction, max_start_shifts: int = 8):
     for k in range(max_start_shifts):
         try:
             traj = trajectory_matrix(cmf, point, direction)
-            rec, _gauge, t1 = to_companion(traj)
+            rec, _gauge, t1 = companion_reduce(traj.matrix)
             pcf, t2 = to_pcf_canonical(rec)
             if k:
                 trace.record("start-shift", steps=k)

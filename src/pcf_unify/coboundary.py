@@ -24,17 +24,12 @@ from math import gcd, lcm
 
 import mpmath as mp
 
-from .linalg import (
-    nullspace,
-    nullspace_with_prefilter,
-    primitive_ints,
-    rational_fit_screen,
-)
+from .linalg import nullspace, primitive_mat2, rational_fit_screen
 from .matrix import Mat, adjugate2, det2
 from .metrics import convergence_rate, irrationality_delta, rate_ratio
 from .parsing import parse_poly
-from .poly import ONE, Poly, format_poly, poly_lcm
-from .ratfunc import RationalFunction as RF
+from .poly import ONE, Poly, format_poly
+from .ratfunc import RationalFunction as RF, clear_denominators
 from .recurrence import PCF, evaluate_limit, mobius_apply
 from .identify import InsufficientPrecision, MobiusIdentification, identify_mobius
 from .transforms import fold_pcf, pcf_shift
@@ -171,12 +166,7 @@ def _eval_mat(m: Mat, n: int) -> Mat:
 
 def propagate_u(a_mat: Mat, b_mat: Mat, u1: Mat, depth: int) -> list[Mat]:
     """U(1..depth) via U(n+1) ~ adj(A(n)) U(n) B(n), each integer-normalized."""
-
-    def primitive(m):
-        ints = primitive_ints(e for row in m for e in row)
-        return Mat([ints[:2], ints[2:]]).map(Fraction)
-
-    us = [primitive(u1)]
+    us = [primitive_mat2(e for row in u1 for e in row)]
     for i in range(1, depth):
         a_i = _eval_mat(a_mat, i)
         if det2(a_i) == 0:
@@ -185,7 +175,7 @@ def propagate_u(a_mat: Mat, b_mat: Mat, u1: Mat, depth: int) -> list[Mat]:
         u = adjugate2(a_i) * us[-1] * b_i
         if all(e == 0 for row in u for e in row):
             raise SingularAt(i)
-        us.append(primitive(u))
+        us.append(primitive_mat2(e for row in u for e in row))
     return us
 
 
@@ -249,8 +239,7 @@ def fit_rational_function(samples, degree_cap: int = 24):
                     qrow.append(-v * power)
                     power *= tf
                 rows.append(prow + qrow)
-            basis = nullspace_with_prefilter(rows)
-            for vec in basis:
+            for vec in nullspace(rows):
                 p = Poly(vec[: dn + 1])
                 q = Poly(vec[dn + 1 :])
                 if q.is_zero():
@@ -282,26 +271,15 @@ def fit_rational_matrix(samples: list[tuple[int, Mat]], degree_cap: int = 24):
 # -- step 5: rigorous verification --------------------------------------------------
 
 
-def _clear_denominators(u_rf: Mat) -> Mat:
-    den = ONE
-    for row in u_rf:
-        for e in row:
-            den = poly_lcm(den, e.den if isinstance(e, RF) else ONE)
-    polys = []
-    for row in u_rf:
-        prow = []
-        for e in row:
-            e = e if isinstance(e, RF) else RF(e)
-            prow.append((e * RF(den)).as_poly())
-        polys.append(prow)
-    # common rational content out
-    contents = [p.content() for row in polys for p in row if not p.is_zero()]
-    c = contents[0]
-    for x in contents[1:]:
+def _clear_denominators(m: Mat) -> Mat:
+    """The 2x2 polynomial matrix proportional to ``m`` with common content 1."""
+    polys, _den = clear_denominators(e for row in m for e in row)
+    c = Fraction(0)  # gcd of the contents; a zero entry (content 0) leaves it
+    for x in (p.content() for p in polys):
         c = Fraction(gcd(c.numerator, x.numerator), lcm(c.denominator, x.denominator))
     if c not in (0, 1):
-        polys = [[p * (1 / c) for p in row] for row in polys]
-    return Mat(polys)
+        polys = [p * (1 / c) for p in polys]
+    return Mat([polys[:2], polys[2:]])
 
 
 def verify_coboundary(a_mat: Mat, b_mat: Mat, u) -> CoboundaryCertificate:
@@ -363,13 +341,7 @@ def reverse_certificate(
     cert: CoboundaryCertificate, a_mat: Mat, b_mat: Mat
 ) -> CoboundaryCertificate:
     """Certificate for the reversed pair (B, A), built from the adjugate."""
-    adj = Mat(
-        [
-            [cert.u[1, 1], -cert.u[0, 1]],
-            [-cert.u[1, 0], cert.u[0, 0]],
-        ]
-    )
-    rev = verify_coboundary(b_mat, a_mat, adj)
+    rev = verify_coboundary(b_mat, a_mat, adjugate2(cert.u))
     rev.fold_a, rev.fold_b = cert.fold_b, cert.fold_a
     rev.shift_a, rev.shift_b = cert.shift_b, cert.shift_a
     return rev
@@ -600,8 +572,7 @@ def _initial_u_candidates(fa: PCF, fb: PCF, ctx) -> list[Mat]:
             if rel is None:
                 continue
             u21, u22, u11, u12 = rel
-            ints = primitive_ints([u11, u12, u21, u22])
-            push(Mat([ints[:2], ints[2:]]).map(Fraction))
+            push(primitive_mat2([u11, u12, u21, u22]))
     return candidates
 
 

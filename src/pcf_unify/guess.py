@@ -14,7 +14,7 @@ rational solution survives reduction, so an empty modular nullspace proves
 there is nothing to find); only survivors pay for the exact fraction-free
 solve.  The screen builds its matrix from the terms' residues and calls the
 modular kernel in ``linalg`` (``residues_mod_p``, ``rank_mod_p``), which
-also normalises the initial conditions (``primitive_ints``).  A successful
+also normalises the initial conditions (``primitive_mat2``).  A successful
 fit must annihilate every provided term, including the surplus the solver
 never saw.
 """
@@ -26,12 +26,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import nullspace, primitive_ints, rank_mod_p, residues_mod_p
-from .matrix import Mat
-from .poly import Poly
+from .linalg import nullspace, primitive_mat2, rank_mod_p, residues_mod_p
+from .matrix import Mat, adjugate2
+from .poly import _WORD_PRIMES, Poly
 from .recurrence import PCF, InitialConditions, Recurrence
-
-_PRIMES = (2_147_483_647, 2_147_483_629, 2_147_483_587)
 
 # extra equations beyond the unknown count that a candidate must satisfy
 SURPLUS = 20
@@ -73,7 +71,7 @@ def _mod_p_solvable(terms, m, d, rows_used) -> bool:
     if there is none, the exact solve does.
     """
     ncols = (m + 1) * (d + 1)
-    for p in _PRIMES:
+    for p in _WORD_PRIMES:
         tm = residues_mod_p(terms, p)
         if tm is None:
             continue
@@ -202,15 +200,8 @@ def table_style_init(init: InitialConditions, pcf: PCF) -> InitialConditions:
     The result is integerized with content 1 and its first nonzero entry
     positive, the form initial-condition matrices are usually quoted in.
     """
-    cm1 = Mat(
-        [
-            [Fraction(0), Fraction(pcf.b(1))],
-            [Fraction(1), Fraction(pcf.a(1))],
-        ]
-    )
-    det = -Fraction(pcf.b(1))
-    if det == 0:
+    if pcf.b(1) == 0:
         raise ValueError("b(1) = 0: index-1 companion is singular")
-    inv = Mat([[cm1[1, 1], -cm1[0, 1]], [-cm1[1, 0], cm1[0, 0]]]).map(lambda e: e / det)
-    ints = primitive_ints(e for row in init.matrix * inv for e in row)
-    return InitialConditions(Mat([ints[:2], ints[2:]]).map(Fraction))
+    # the inverse up to its scale, which the normal form removes
+    inv = adjugate2(Mat([[0, pcf.b(1)], [1, pcf.a(1)]]))
+    return InitialConditions(primitive_mat2(e for row in init.matrix * inv for e in row))

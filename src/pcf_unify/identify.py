@@ -14,12 +14,11 @@ an integer 2x2 Moebius matrix applied to the constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 
 from .constants import ConstantRef, constant_value
-from .linalg import primitive_ints
+from .linalg import primitive_mat2
 from .matrix import Mat, det2
 from .recurrence import ApproxValue, mobius_apply
 
@@ -153,8 +152,7 @@ def identify_mobius(
         if rel is None:
             return None
         a1, a2, a3, a4 = rel.coefficients
-        ints = primitive_ints([-a3, -a4, a1, a2])
-        m = Mat([ints[:2], ints[2:]]).map(Fraction)
+        m = primitive_mat2([-a3, -a4, a1, a2])
         if det2(m) == 0:
             return None
         check = mobius_apply(m, c)

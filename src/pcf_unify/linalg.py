@@ -3,19 +3,19 @@
 Homogeneous systems are solved over the rationals with fraction-free
 (Bareiss-style) elimination on integer-cleared rows, so there are no
 numeric false positives.  Because most candidate systems in the degree
-searches have no solution at all, a cheap modular prefilter (Gaussian
-elimination mod a word-sized prime, vectorized with numpy) rejects them
-before any big-integer work: a nontrivial rational nullspace always
-survives reduction mod p, so an empty mod-p nullspace is a proof of
-rational infeasibility.
+searches have no solution at all, cheap modular screens reject them before
+any big-integer work: a nontrivial rational nullspace always survives
+reduction mod p, so an empty mod-p nullspace is a proof of rational
+infeasibility.
 
 This module is also the one home of two decisions other modules share:
 ``primitive_ints`` (scale a vector to coprime integers, first nonzero entry
-positive) normalises nullspace bases, Moebius matrices, propagated U(n)
-and initial conditions; ``residues_mod_p`` is the modular kernel of three
-screens: this prefilter and the recurrence screen in ``guess`` (both
-through ``rank_mod_p``), and ``rational_fit_screen``, which settles every
-(deg P, deg Q) split of a rational fit with one extended-Euclid pass.
+positive) normalises nullspace bases and, through ``primitive_mat2``,
+Moebius matrices, propagated U(n) and initial conditions;
+``residues_mod_p`` is the modular kernel of the recurrence screen in
+``guess`` (through ``rank_mod_p``) and of ``rational_fit_screen``, which
+settles every (deg P, deg Q) split of a rational fit with one
+extended-Euclid pass.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from math import gcd
 
 import numpy as np
 
-from .poly import _poly_rem_mod_p, _scaled_ints
+from .matrix import Mat
+from .poly import _WORD_PRIMES, _poly_rem_mod_p, _scaled_ints
 
-# Large prime below 2^31 so products of two residues fit in int64.
-_FILTER_PRIME = 2_147_483_647
+_FILTER_PRIME = _WORD_PRIMES[0]
 
 
 def primitive_ints(values) -> list[int]:
@@ -45,6 +45,12 @@ def primitive_ints(values) -> list[int]:
     if next(v for v in ints if v) < 0:
         g = -g
     return [v // g for v in ints]
+
+
+def primitive_mat2(values) -> Mat:
+    """2x2 Fraction matrix of four ``values`` (row by row) in ``primitive_ints`` form."""
+    ints = primitive_ints(values)
+    return Mat([ints[:2], ints[2:]]).map(Fraction)
 
 
 def residues_mod_p(values, p: int) -> list[int] | None:
@@ -219,14 +225,3 @@ def _unit(n, j):
     v = [Fraction(0)] * n
     v[j] = Fraction(1)
     return v
-
-
-def nullspace_with_prefilter(rows) -> list[list[Fraction]]:
-    """nullspace() of rows of ints or Fractions, but returning [] fast when the
-    mod-p filter proves emptiness."""
-    rows = list(rows)
-    if not rows:
-        return []
-    if nullspace_dim_mod_p(rows) == 0:
-        return []
-    return nullspace(rows)

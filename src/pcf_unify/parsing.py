@@ -17,6 +17,7 @@ Implicit multiplication is supported for the common written forms like
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -196,31 +197,28 @@ def parse_ast(src: str):
 # -- converters ---------------------------------------------------------------
 
 
-def ast_to_ratfunc(node, var: str = "n") -> RationalFunction:
+_BINARY = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+}
+
+
+def _fold(node, leaf):
+    """Evaluate a rational expression AST bottom up, one operator per node;
+    ``leaf(kind, value)`` builds the value of a ``num`` or ``var`` node."""
     kind = node[0]
-    if kind == "num":
-        return RationalFunction(Poly.const(node[1]))
-    if kind == "var":
-        if node[1] != var:
-            raise ValueError(f"unknown variable {node[1]!r} (expected {var!r})")
-        return RationalFunction(Poly.var())
+    if kind in ("num", "var"):
+        return leaf(kind, node[1])
     if kind == "neg":
-        return -ast_to_ratfunc(node[1], var)
-    if kind == "add":
-        return ast_to_ratfunc(node[1], var) + ast_to_ratfunc(node[2], var)
-    if kind == "sub":
-        return ast_to_ratfunc(node[1], var) - ast_to_ratfunc(node[2], var)
-    if kind == "mul":
-        return ast_to_ratfunc(node[1], var) * ast_to_ratfunc(node[2], var)
-    if kind == "div":
-        return ast_to_ratfunc(node[1], var) / ast_to_ratfunc(node[2], var)
+        return -_fold(node[1], leaf)
+    if kind in _BINARY:
+        return _BINARY[kind](_fold(node[1], leaf), _fold(node[2], leaf))
     if kind == "pow":
-        expo = node[2]
-        k = _const_int(expo)
-        base = ast_to_ratfunc(node[1], var)
-        return base**k
+        return _fold(node[1], leaf) ** _const_int(node[2])
     if kind == "call":
-        raise ValueError(f"function {node[1]!r} not allowed in polynomial context")
+        raise ValueError(f"function {node[1]!r} not allowed in a rational expression")
     raise ValueError(f"bad AST node {kind!r}")
 
 
@@ -230,6 +228,17 @@ def _const_int(node) -> int:
     if node[0] == "neg":
         return -_const_int(node[1])
     raise ValueError("exponent must be an integer constant here")
+
+
+def ast_to_ratfunc(node, var: str = "n") -> RationalFunction:
+    def leaf(kind, value):
+        if kind == "num":
+            return RationalFunction(Poly.const(value))
+        if value != var:
+            raise ValueError(f"unknown variable {value!r} (expected {var!r})")
+        return RationalFunction(Poly.var())
+
+    return _fold(node, leaf)
 
 
 def parse_ratfunc(src: str, var: str = "n") -> RationalFunction:
@@ -242,28 +251,14 @@ def parse_poly(src: str, var: str = "n") -> Poly:
 
 
 def ast_to_mrat(node, names: tuple[str, ...]) -> MRat:
-    kind = node[0]
-    if kind == "num":
-        return MRat.const(names, node[1])
-    if kind == "var":
-        if node[1] not in names:
-            raise ValueError(f"unknown variable {node[1]!r} (expected one of {names})")
-        return MRat.var(names, node[1])
-    if kind == "neg":
-        return -ast_to_mrat(node[1], names)
-    if kind == "add":
-        return ast_to_mrat(node[1], names) + ast_to_mrat(node[2], names)
-    if kind == "sub":
-        return ast_to_mrat(node[1], names) - ast_to_mrat(node[2], names)
-    if kind == "mul":
-        return ast_to_mrat(node[1], names) * ast_to_mrat(node[2], names)
-    if kind == "div":
-        return ast_to_mrat(node[1], names) / ast_to_mrat(node[2], names)
-    if kind == "pow":
-        return ast_to_mrat(node[1], names) ** _const_int(node[2])
-    if kind == "call":
-        raise ValueError(f"function {node[1]!r} not allowed in rational-function context")
-    raise ValueError(f"bad AST node {kind!r}")
+    def leaf(kind, value):
+        if kind == "num":
+            return MRat.const(names, value)
+        if value not in names:
+            raise ValueError(f"unknown variable {value!r} (expected one of {names})")
+        return MRat.var(names, value)
+
+    return _fold(node, leaf)
 
 
 def parse_mrat(src: str, names: tuple[str, ...]) -> MRat:

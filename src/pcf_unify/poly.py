@@ -313,7 +313,9 @@ def format_poly(p: Poly, var: str = "n") -> str:
     return out
 
 
-_GCD_PRIMES = (2_147_483_647, 2_147_483_629, 2_147_483_587)
+# Primes below 2^31 (products of two residues fit in int64), shared by every
+# modular check in the package.
+_WORD_PRIMES = (2_147_483_647, 2_147_483_629, 2_147_483_587)
 
 
 def _poly_rem_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
@@ -363,7 +365,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return ONE
     a, _ = _scaled_ints(p.coeffs)
     b, _ = _scaled_ints(q.coeffs)
-    for prime in _GCD_PRIMES:
+    for prime in _WORD_PRIMES:
         deg = _gcd_degree_mod_p(a, b, prime)
         if deg == 0:
             return ONE

@@ -11,22 +11,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import ONE, Poly, format_poly, poly_gcd
-
-
-def _as_poly(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Poly.const(x)
-    raise TypeError(f"cannot coerce {x!r} to Poly")
+from .poly import ONE, Poly, _coerce as _coerce_poly, format_poly, poly_gcd, poly_lcm
 
 
 class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=ONE, _normalized=False):
-        num, den = _as_poly(num), _as_poly(den)
+        num, den = _coerce_poly(num), _coerce_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in rational function")
         if not _normalized:
@@ -45,7 +37,7 @@ class RationalFunction:
     def as_poly(self) -> Poly:
         if not self.is_polynomial():
             raise ValueError(f"not a polynomial: {self}")
-        return self.num * (Fraction(1) / self.den[0])
+        return self.num  # a constant reduced denominator is 1
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, Poly)):
@@ -132,12 +124,11 @@ def _reduce(num: Poly, den: Poly):
         num, den = num // g, den // g
     # all content moves to the numerator; denominator gets content 1 and a
     # positive leading coefficient
-    c = den.content()
-    if den.leading() < 0:
-        c = -c
-    num = num * (Fraction(1) / c)
-    den = den * (Fraction(1) / c)
-    return num, den
+    unit = den.monic_primitive()
+    c = den.leading() / unit.leading()
+    if c != 1:
+        num = Poly._reduced([x / c for x in num.coeffs])
+    return num, unit
 
 
 def _coerce(x) -> RationalFunction:
@@ -146,6 +137,16 @@ def _coerce(x) -> RationalFunction:
     if isinstance(x, (int, Fraction, Poly)):
         return RationalFunction(x)
     raise TypeError(f"cannot coerce {x!r} to RationalFunction")
+
+
+def clear_denominators(entries) -> tuple[list[Poly], Poly]:
+    """(polys, den) with every entry equal to its poly / den, where den is the
+    lcm of the entries' denominators (content 1, positive leading coefficient)."""
+    entries = [_coerce(e) for e in entries]
+    den = ONE
+    for e in entries:
+        den = poly_lcm(den, e.den)
+    return [e.num * (den // e.den) for e in entries], den
 
 
 def rf_reduce(num, den) -> RationalFunction:

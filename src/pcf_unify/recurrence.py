@@ -57,14 +57,7 @@ class PCF:
         return f"PCF({format_poly(self.a)}; {format_poly(self.b)})"
 
     def companion(self) -> "CompanionMatrix":
-        return CompanionMatrix(
-            Mat(
-                [
-                    [RationalFunction(0), RationalFunction(self.b)],
-                    [RationalFunction(1), RationalFunction(self.a)],
-                ]
-            )
-        )
+        return companion(self.to_recurrence())
 
     def to_recurrence(self) -> "Recurrence":
         return Recurrence(coeffs=[self.a, self.b])

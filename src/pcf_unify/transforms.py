@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .matrix import Mat, adjugate2
-from .poly import ONE, Poly, format_poly, gcd_many, low_degree_factors, poly_lcm
-from .ratfunc import RationalFunction as RF
+from .matrix import Mat, mat_adjugate_inverse
+from .poly import ONE, Poly, format_poly, gcd_many, low_degree_factors
+from .ratfunc import RationalFunction as RF, clear_denominators
 from .recurrence import PCF, Recurrence
 
 
@@ -87,10 +87,7 @@ def inflate(rec: Recurrence, c) -> Recurrence:
     for i, a in enumerate(rec.coeffs, start=1):
         running = running * c.shift(-(i - 1))
         new_coeffs.append(RF(a, rec.den) * running)
-    den = ONE
-    for rf in new_coeffs:
-        den = poly_lcm(den, rf.den)
-    polys = [(rf * RF(den)).as_poly() for rf in new_coeffs]
+    polys, den = clear_denominators(new_coeffs)
     return Recurrence(coeffs=polys, den=den)
 
 
@@ -151,19 +148,14 @@ def companion_reduce(m: Mat) -> tuple[Recurrence, Mat, TransformTrace]:
         raise DegenerateMatrixError("matrix cannot generate a second-order recurrence")
     trace.record("gauge", branch=branch, u=[[str(e) for e in row] for row in u.rows])
 
-    u_next = u.shift(1)
-    det = u_next[0, 0] * u_next[1, 1] - u_next[0, 1] * u_next[1, 0]
-    if det.is_zero():
-        raise DegenerateMatrixError("gauge matrix is singular")
-    adj = adjugate2(u_next)
+    try:
+        adj, _det = mat_adjugate_inverse(u.shift(1))
+    except ZeroDivisionError:
+        raise DegenerateMatrixError("gauge matrix is singular") from None
     e = u * m * adj  # companion up to the scalar det
     if not e[0, 0].is_zero() or e[1, 0].is_zero():
         raise DegenerateMatrixError("gauge did not reach companion shape")
-    b_rf = e[0, 1] / e[1, 0]
-    a_rf = e[1, 1] / e[1, 0]
-    den = poly_lcm(a_rf.den, b_rf.den)
-    a_num = (a_rf * RF(den)).as_poly()
-    b_num = (b_rf * RF(den)).as_poly()
+    (a_num, b_num), den = clear_denominators([e[1, 1] / e[1, 0], e[0, 1] / e[1, 0]])
     return Recurrence(coeffs=[a_num, b_num], den=den), u, trace
 
 
@@ -274,9 +266,8 @@ def to_pcf_canonical(rec: Recurrence | PCF) -> tuple[PCF, TransformTrace]:
     if b_rf.is_zero():
         raise ValueError("degenerate recurrence: b identically zero")
     # 1. clear denominators: inflation by c(n) = lcm of the denominators
-    c = poly_lcm(a_rf.den, b_rf.den)
-    a = (a_rf * RF(c)).as_poly()
-    b = (b_rf * RF(c) * RF(c.shift(-1))).as_poly()
+    (a, b), c = clear_denominators([a_rf, b_rf])
+    b = b * c.shift(-1)
     if c.degree > 0 or c[0] != 1:
         trace.record("inflate", c=format_poly(c))
     # 2. maximal polynomial deflation

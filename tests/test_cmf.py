@@ -11,13 +11,13 @@ from pcf_unify.cmf import (
     displacement,
     pi_cmf,
     scan_trajectories,
-    to_companion,
     trajectory_matrix,
     trajectory_pcf,
 )
 from pcf_unify.coboundary import verify_coboundary
 from pcf_unify.matrix import Mat, identity, projective_eq
 from pcf_unify.parsing import parse_poly, parse_ratfunc
+from pcf_unify.transforms import companion_reduce
 from pcf_unify.recurrence import PCF
 from pcf_unify.transforms import fold_pcf
 
@@ -68,6 +68,16 @@ def test_displacement_zero_and_unit(field):
         lambda e: e.eval({"x": p[0], "y": p[1], "z": p[2]})
     )
     assert ux == direct
+
+
+@pytest.mark.parametrize(
+    "v", [(-1, 0, 0), (0, -2, 1), (1, -1, -1), (-2, 2, -1), (2, 1, -2), (-1, -1, -1)]
+)
+def test_displacement_is_trajectory_at_one(field, v):
+    # negative entries take the adjugate steps of both restrictions
+    p = (Fraction(1, 3), Fraction(2, 7), Fraction(5, 11))
+    at_one = trajectory_matrix(field, p, v).matrix.map(lambda e: e(1))
+    assert displacement(field, p, v) == at_one
 
 
 def test_displacement_path_independence(field):
@@ -130,7 +140,7 @@ def test_to_companion_identity_gauge_branch():
     t = trajectory_matrix(
         pi_cmf(), (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)), (1, 0, 0)
     )
-    rec, gauge, _ = to_companion(t)
+    rec, gauge, _ = companion_reduce(t.matrix)
     assert rec.order == 2
 
 

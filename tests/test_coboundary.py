@@ -23,7 +23,7 @@ from pcf_unify.coboundary import (
     solve_initial_u,
     verify_coboundary,
 )
-from pcf_unify.linalg import nullspace_with_prefilter
+from pcf_unify.linalg import nullspace
 from pcf_unify.matrix import Mat, projective_eq
 from pcf_unify.parsing import parse_poly
 from pcf_unify.poly import Poly
@@ -219,8 +219,8 @@ def zeta3_ctx():
 
 
 def _sweep_fit(samples, degree_cap=24):
-    """Reference fit: every (deg P, deg Q) split goes to the prefiltered
-    exact solve, in fit_rational_function's order."""
+    """Reference fit: every (deg P, deg Q) split goes to the exact solve, in
+    fit_rational_function's order."""
     ran_out = False
     for total in range(degree_cap + 1):
         for dn in range(total + 1):
@@ -233,7 +233,7 @@ def _sweep_fit(samples, degree_cap=24):
                 + [-v * Fraction(t) ** k for k in range(dd + 1)]
                 for t, v in samples
             ]
-            for vec in nullspace_with_prefilter(rows):
+            for vec in nullspace(rows):
                 p, q = Poly(vec[: dn + 1]), Poly(vec[dn + 1 :])
                 if not q.is_zero() and all(q(t) != 0 for t, _ in samples):
                     return RationalFunction(p, q)
@@ -285,11 +285,17 @@ def test_fit_screen_skips_every_infeasible_split(monkeypatch):
 
     def counting(rows):
         calls.append(1)
-        return nullspace_with_prefilter(rows)
+        return nullspace(rows)
 
-    monkeypatch.setattr(coboundary, "nullspace_with_prefilter", counting)
+    monkeypatch.setattr(coboundary, "nullspace", counting)
     # 56 samples of 2^n: all 325 splits up to total degree 24 fit in the
     # samples, and none has a solution, so none needs an exact solve
     samples = [(t, Fraction(2) ** t) for t in range(1, 57)]
     assert fit_rational_function(samples, degree_cap=24) is None
     assert calls == []
+
+
+def test_zero_coboundary_matrix_is_a_verification_error():
+    a_m = PI34_A.companion().matrix
+    with pytest.raises(VerificationError, match="zero coboundary"):
+        verify_coboundary(a_m, a_m, Mat([[0, 0], [0, 0]]))

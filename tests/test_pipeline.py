@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -377,3 +378,60 @@ def test_cli_arithmetic_failures_are_input_errors(capsys):
     assert main(["eval", "PCF(n; 1/0)"]) == 2  # zero division in the input
     assert main(["eval", "PCF(n-n; 1)", "--depth", "10"]) == 2  # zero denominator
     assert capsys.readouterr().err.count("error: ") == 2
+
+
+# sha256 of every file the README's cluster example writes
+TABLE1_REPORT = {
+    "certificates/cmf(1,0,0)__t1.1.json": "eb48dae4f12f15ab9ef158b33d8aa37e4b01ac2f1147374ce3963dea52653443",
+    "certificates/cmf(1,1,1)__t1.3.json": "29f9daa3362e5dbe09c915f2ffedad057683d99b2e02f9d0ef887c1d65bd9e0f",
+    "certificates/t1.1__t1.2.json": "31fa9a6164481a6c73379eee2429f072eeb48194e5b3def57003cd72f6f17d76",
+    "certificates/t1.1__t1.5.json": "f2a6199bb8534d8f5185980fd9b77186097f64acdc340e90c2f0418c6aa738d2",
+    "certificates/t1.3__t1.4.json": "8ed0af88d791278e97ba2f2d45b03abed3015684500b5ba58385fd04aaefc025",
+    "clusters.json": "4f0e1de4e43ce0d5036d97f7ce8eadfb6dd357a316ccd42d7bf8b11e57635537",
+    "report.md": "26bb96d1498f6e5335050c134ed7c255e2915662d4dba7da610f58b3e2ce0fab",
+}
+
+
+def test_cli_cluster_table1_report_is_pinned(tmp_path):
+    from pcf_unify.cli import main
+
+    out = tmp_path / "out"
+    argv = ["cluster", "bundled:table1", "--out", str(out), "--directions", "1,0,0;1,1,1"]
+    assert main(argv) == 0
+    digests = {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out.rglob("*")
+        if p.is_file()
+    }
+    assert digests == TABLE1_REPORT
+
+
+def test_cli_subcommands_accept_only_the_flags_they_read():
+    from pcf_unify.cli import build_parser, main
+
+    ctx_flags = {"--depth", "--precision-digits", "--delta-tol", "--fold-cap",
+                 "--degree-cap", "--constant"}
+    expected = {
+        "eval": {"--depth", "--precision-digits"},
+        "delta": {"--depth"},
+        "rate": {"--depth"},
+        "canonicalize": set(),
+        "guess": {"--start", "--terms", "--max-order", "--max-degree"},
+        "match": ctx_flags | {"--out"},
+        "verify": set(),
+        "cmf": {"--file", "--point", "--direction", "--radius", "--depth"},
+        "cluster": ctx_flags | {"--out", "--directions", "--jobs"},
+        "report": set(),
+    }
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    for name, p in sub.choices.items():
+        flags = {s for a in p._actions for s in a.option_strings if s.startswith("--")}
+        assert flags - {"--help"} == expected[name], name
+    args = parser.parse_args(["cluster", "corpus.json"])
+    assert (args.depth, args.precision_digits, args.delta_tol, args.fold_cap,
+            args.degree_cap, args.jobs, args.constant) == (None, 250, 0.05, 12, 24, 1, "pi")
+    for argv in (["eval", "PCF(1; 1)", "--constant", "e"], ["report", "out", "--jobs", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from pcf_unify.poly import N, Poly
 from pcf_unify.ratfunc import RationalFunction as RF
-from pcf_unify.ratfunc import rf_reduce
+from pcf_unify.ratfunc import clear_denominators, rf_reduce
 
 
 def test_reduction_fixtures():
@@ -68,3 +68,11 @@ def test_field_round_trip(f, g):
 def test_reduce_idempotent(f):
     again = rf_reduce(f.num, f.den)
     assert again.num == f.num and again.den == f.den
+
+
+@given(st.lists(st.one_of(ratfuncs(), rationals), max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_clear_denominators(entries):
+    polys, den = clear_denominators(entries)
+    assert [RF(p, den) for p in polys] == entries
+    assert den.content() == 1 and den.leading() > 0
