@@ -11,6 +11,13 @@ Displacements compose along a canonical path (axes in order, positive
 steps before negative ones); the trajectory matrix of a start point and an
 integer direction is the displacement restricted to the line through the
 point, a 2x2 matrix over Q(n) that reduces to a recurrence.
+
+One walk serves displacements (a line of direction 0), trajectories and
+parallel gauges.  Each axis matrix is split once, lazily, into integer
+polynomial numerators over one integer polynomial denominator; a step
+restricts them to the line as integer coefficient vectors in n, and the
+walk multiplies integer polynomial matrices over one scalar denominator and
+reduces to rational functions once at the end.
 """
 
 from __future__ import annotations
@@ -18,13 +25,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 from importlib import resources
 from math import gcd
 
-from .matrix import Mat, identity, mat_adjugate_inverse, projective_eq
+from .matrix import Mat, identity, projective_eq
 from .metrics import irrationality_delta
-from .multivar import MPoly
+from .multivar import MPoly, integer_split, restrict_to_line
 from .parsing import parse_mrat
+from .poly import Poly, _int_add, _int_mul
+from .ratfunc import RationalFunction
 from .transforms import TransformTrace, companion_reduce, to_pcf_canonical
 
 
@@ -49,6 +59,15 @@ class CMF:
                 [[parse_mrat(e, names) for e in row] for row in rows]
             )
         return CMF(variables=names, matrices=mats, rank=int(data.get("rank", 2)))
+
+    @cached_property
+    def _split(self) -> dict:
+        """axis -> (numerators, denominator): integer-coefficient polynomials
+        with the axis matrix's entries, row by row, equal to numerator / den."""
+        return {
+            axis: integer_split([e for row in m.rows for e in row])
+            for axis, m in self.matrices.items()
+        }
 
     @staticmethod
     def load(path) -> "CMF":
@@ -104,32 +123,68 @@ def _path_steps(cmf: CMF, direction) -> list[tuple[str, int]]:
     return steps
 
 
-def _walk(cmf: CMF, point, direction, restrict) -> Mat:
-    """Product of the canonical path's steps from ``point`` by ``direction``.
+def _check_line(cmf: CMF, point, direction) -> tuple[list[Fraction], list[int]]:
+    """(point, direction) as rationals and integers; ValueError unless both
+    have the field's dimension and the direction is nonzero."""
+    point = [Fraction(p) for p in point]
+    direction = [int(v) for v in direction]
+    for what, vec in (("point", point), ("direction", direction)):
+        if len(vec) != cmf.dim:
+            raise ValueError(
+                f"{what} has {len(vec)} entries, the field has {cmf.dim} variables"
+            )
+    if not any(direction):
+        raise ValueError("direction must be nonzero")
+    return point, direction
 
-    ``restrict(entry, position)`` turns a field entry at a lattice position
-    into a value (a number, or a function of n on a line); a negative step
-    is the adjugate of the step it undoes.
+
+def _singular(axis: str, pos, why: str) -> TrajectorySingularity:
+    where = ", ".join(map(str, pos))
+    return TrajectorySingularity(f"axis {axis} at ({where}): {why}")
+
+
+def _int_mat_mul(a, b):
+    """Product of matrices of integer coefficient vectors."""
+    return [[reduce(_int_add, map(_int_mul, row, col), []) for col in zip(*b)] for row in a]
+
+
+def _walk(cmf: CMF, point, direction, line) -> Mat:
+    """Product of the canonical path's steps from ``point`` by ``direction``,
+    each step restricted to the line ``position + (n-1)*line`` through its
+    lattice position: a matrix over Q(n), constant when ``line`` is 0.
+
+    A step is an integer polynomial matrix over one scalar denominator (the
+    axis split restricted to the line); a negative step is the adjugate of
+    the step it undoes, over the same denominator.  The walk multiplies the
+    integer matrices and the denominators, and reduces once at the end.
     """
-    pos = [Fraction(p) for p in point]
-    out = None
+    pos, direction = _check_line(cmf, point, direction)
+    prod, den = None, [1]
     for axis, sgn in _path_steps(cmf, direction):
         k = cmf.variables.index(axis)
         if sgn < 0:
             pos[k] -= 1
-        try:
-            step = cmf.matrices[axis].map(lambda e: restrict(e, pos))
-            if sgn < 0:
-                step, _det = mat_adjugate_inverse(step)
-        except ZeroDivisionError as exc:
-            where = ", ".join(map(str, pos))
-            raise TrajectorySingularity(f"axis {axis} at ({where}): {exc}") from exc
-        if sgn > 0:
+        nums, d = cmf._split[axis]
+        *flat, d = restrict_to_line([*nums, d], pos, line)
+        if not d:
+            if any(line):
+                raise _singular(
+                    axis, pos, "denominator vanishes identically along the substitution line"
+                )
+            raise _singular(axis, pos, f"pole at {dict(zip(cmf.variables, pos))}")
+        size = cmf.matrices[axis].ncols
+        step = [flat[i : i + size] for i in range(0, len(flat), size)]
+        if sgn < 0:
+            (a, b), (c, e) = step
+            if not _int_add(_int_mul(a, e), _int_mul(b, c), -1):
+                raise _singular(axis, pos, "matrix is identically singular")
+            step = [[e, [-x for x in b]], [[-x for x in c], a]]
+        else:
             pos[k] += 1
-        out = step if out is None else out * step
-    if out is None:
-        raise ValueError("direction must be nonzero")
-    return out
+        prod = step if prod is None else _int_mat_mul(prod, step)
+        den = _int_mul(den, d)
+    den = Poly(den)
+    return Mat([[RationalFunction(Poly(e), den) for e in row] for row in prod])
 
 
 def displacement(cmf: CMF, point, direction) -> Mat:
@@ -138,8 +193,7 @@ def displacement(cmf: CMF, point, direction) -> Mat:
         raise ValueError("point/direction length mismatch")
     if not any(int(v) for v in direction):
         return identity(cmf.rank)
-    names = cmf.variables
-    return _walk(cmf, point, direction, lambda e, pos: e.eval(dict(zip(names, pos))))
+    return _walk(cmf, point, direction, [0] * cmf.dim).map(lambda e: e.num[0])
 
 
 @dataclass(frozen=True)
@@ -149,43 +203,45 @@ class TrajectoryMatrix:
     direction: tuple
 
 
-def _on_line(line_direction):
-    """Restriction of an entry based at a lattice position to the line
-    position + (n-1)*line_direction, as a function of n."""
-    line = [int(v) for v in line_direction]
-    return lambda e, pos: e.substitute_affine(pos, line)
-
-
 def trajectory_matrix(cmf: CMF, point, direction) -> TrajectoryMatrix:
     """T(n) = M_v(point + (n-1) v): one step of the trajectory at time n."""
-    m = _walk(cmf, point, direction, _on_line(direction))
+    m = _walk(cmf, point, direction, direction)
     return TrajectoryMatrix(m, tuple(Fraction(p) for p in point), tuple(map(int, direction)))
 
 
 def parallel_gauge(cmf: CMF, point, line_direction, offset_direction) -> Mat:
     """U(n) = M_w(point + (n-1) v): the coboundary transform between the
     v-trajectories based at ``point`` and at ``point + w``."""
-    return _walk(cmf, point, offset_direction, _on_line(line_direction))
+    return _walk(cmf, point, offset_direction, line_direction)
 
 
 def trajectory_pcf(cmf: CMF, point, direction, max_start_shifts: int = 8):
     """Canonical PCF of a trajectory, applying the start-shift rule on
-    singularities (move the base point one direction-step forward)."""
-    point = [Fraction(p) for p in point]
-    direction = [int(v) for v in direction]
+    singularities (move the base point one direction-step forward).
+
+    A trajectory matrix that carries no second-order recurrence depends on
+    the line only, so no shift mends it: it raises TrajectorySingularity at
+    once, with the reason.
+    """
+    point, direction = _check_line(cmf, point, direction)
     trace = TransformTrace()
     for k in range(max_start_shifts):
         try:
             traj = trajectory_matrix(cmf, point, direction)
             rec, _gauge, t1 = companion_reduce(traj.matrix)
             pcf, t2 = to_pcf_canonical(rec)
-            if k:
-                trace.record("start-shift", steps=k)
-            trace.extend(t1)
-            trace.extend(t2)
-            return pcf, trace
-        except (TrajectorySingularity, ZeroDivisionError, ValueError):
+        except (TrajectorySingularity, ZeroDivisionError):
             point = [p + v for p, v in zip(point, direction)]
+            continue
+        except ValueError as exc:  # the inputs are checked, so the line is at fault
+            raise TrajectorySingularity(
+                f"trajectory along {direction} is degenerate: {exc}"
+            ) from exc
+        if k:
+            trace.record("start-shift", steps=k)
+        trace.extend(t1)
+        trace.extend(t2)
+        return pcf, trace
     raise TrajectorySingularity(
         f"no regular start point along {direction} after {max_start_shifts} shifts"
     )

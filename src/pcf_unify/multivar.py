@@ -8,14 +8,19 @@ Full multivariate gcd is deliberately not implemented.  Reduction is
 best-effort (content, common monomials, and exact division when one side
 divides the other); equality of fractions is decided by cross-multiplication,
 which never needs the reduced form.
+
+``integer_split`` and ``restrict_to_line`` take rational functions on a line
+without Fraction arithmetic: both ``MRat.substitute_affine`` and the matrix
+field walk run on them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from math import lcm, prod
 
-from .poly import Poly
+from .poly import Poly, _int_add, _int_mul
 from .ratfunc import RationalFunction
 
 
@@ -193,18 +198,6 @@ class MPoly:
             out += v
         return out
 
-    def to_univariate(self, substitutions: dict[str, Poly]) -> Poly:
-        """Map every variable to a univariate polynomial and expand."""
-        out = Poly()
-        images = [substitutions[name] for name in self.names]
-        for e, c in self.terms.items():
-            term = Poly.const(c)
-            for img, k in zip(images, e):
-                if k:
-                    term = term * img**k
-            out = out + term
-        return out
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -327,20 +320,13 @@ class MRat:
         ``point`` is a vector of rationals, ``direction`` a vector of integers,
         both in variable order.
         """
-        names = self.names
-        if len(point) != len(names) or len(direction) != len(names):
-            raise ValueError("point/direction length must match variable count")
-        subs = {
-            name: Poly([Fraction(p) - Fraction(v), Fraction(v)])
-            for name, p, v in zip(names, point, direction)
-        }
-        num = self.num.to_univariate(subs)
-        den = self.den.to_univariate(subs)
-        if den.is_zero():
+        [num], den = integer_split([self])
+        num, den = restrict_to_line([num, den], point, direction)
+        if not den:
             raise ZeroDivisionError(
                 "denominator vanishes identically along the substitution line"
             )
-        return RationalFunction(num, den)
+        return RationalFunction(Poly(num), Poly(den))
 
     def __str__(self) -> str:
         if self.den.is_constant() and self.den.constant_value() == 1:
@@ -376,3 +362,57 @@ def _mreduce(num: MPoly, den: MPoly):
     num = MPoly(num.names, {e: v / c for e, v in num.terms.items()})
     den = MPoly(den.names, {e: v / c for e, v in den.terms.items()})
     return num, den
+
+
+def integer_split(entries) -> tuple[list[MPoly], MPoly]:
+    """(nums, den), integer-coefficient polynomials with entries[i] == nums[i] / den.
+
+    ``den`` is the product of the entries' distinct denominators (there is no
+    multivariate gcd), and numerators and denominator are scaled together by
+    the lcm of their coefficient denominators.
+    """
+    dens = list(dict.fromkeys(e.den for e in entries))
+    den = prod(dens)
+    nums = [prod((d for d in dens if d != e.den), start=e.num) for e in entries]
+    scale = lcm(*(c.denominator for p in (*nums, den) for c in p.terms.values()))
+    if scale != 1:
+        nums = [p * scale for p in nums]
+        den = den * scale
+    return nums, den
+
+
+def restrict_to_line(polys, point, direction) -> list[list[int]]:
+    """Integer coefficient vectors in n of q^K * p(point + (n-1)*direction).
+
+    ``polys`` share one variable tuple and have integer coefficients; q is
+    the lcm of the point's denominators and K the largest total degree among
+    the polys, so every result is an integer vector (low to high, [] for
+    zero) and the results keep the ratios of the restricted polys.
+    """
+    names = polys[0].names
+    if len(point) != len(names) or len(direction) != len(names):
+        raise ValueError("point/direction length must match variable count")
+    point = [Fraction(p) for p in point]
+    q = lcm(*(p.denominator for p in point))
+    # q * x_k = a_k + b_k n on the line
+    forms = []
+    for p, v in zip(point, direction):
+        b = q * int(v)
+        a = p.numerator * (q // p.denominator) - b
+        forms.append([a, b] if b else [a] if a else [])
+    top = max((sum(e) for p in polys for e in p.terms), default=0)
+    monomials = {}
+    out = []
+    for p in polys:
+        acc = []
+        for e, c in p.terms.items():
+            vec = monomials.get(e)
+            if vec is None:
+                vec = [q ** (top - sum(e))]
+                for form, k in zip(forms, e):
+                    for _ in range(k):
+                        vec = _int_mul(vec, form)
+                monomials[e] = vec
+            acc = _int_add(acc, vec, c.numerator)
+        out.append(acc)
+    return out

@@ -10,6 +10,8 @@ evaluation and the integer-root search run on integer coefficient vectors
 with one common denominator (``_scaled_ints``, which ``poly_gcd`` and
 ``linalg.primitive_ints`` use too) and build one reduced Fraction per result
 coefficient, instead of paying a gcd for every Fraction product and sum.
+``_int_mul`` and ``_int_add`` are the integer-vector product and sum, shared
+with ``multivar.restrict_to_line`` and the ``cmf`` walk.
 ``_poly_rem_mod_p`` is the package's one mod-p polynomial remainder, shared
 by the gcd degree check here and ``linalg.rational_fit_screen``.
 
@@ -123,13 +125,8 @@ class Poly:
             return Poly()
         a, da = _scaled_ints(self.coeffs)
         b, db = _scaled_ints(other.coeffs)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
         d = da * db
-        return Poly._reduced([Fraction(c, d) for c in out])
+        return Poly._reduced([Fraction(c, d) for c in _int_mul(a, b)])
 
     __rmul__ = __mul__
 
@@ -230,6 +227,13 @@ class Poly:
             p = -p
         return p
 
+    def root_bound(self) -> int:
+        """Integer B with |r| <= B for every complex root r of a nonzero
+        polynomial: the Cauchy bound 1 + max |a_i / a_deg| on its integer
+        coefficient vector, rounded down."""
+        a, _ = _scaled_ints(self.coeffs)
+        return 1 + max(map(abs, a[:-1]), default=0) // abs(a[-1])
+
     def integer_roots(self, bound: int = 50) -> list[int]:
         """Integer roots with |root| <= bound, in increasing order.
 
@@ -265,6 +269,28 @@ def _scaled_ints(coeffs) -> tuple[list[int], int]:
     dens = [c.denominator for c in coeffs]
     d = lcm(*dens)
     return [c.numerator * (d // e) for c, e in zip(coeffs, dens)], d
+
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of integer coefficient vectors (low to high; [] is zero)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _int_add(a: list[int], b: list[int], c: int = 1) -> list[int]:
+    """a + c*b for integer coefficient vectors, top zeros stripped."""
+    out = a + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] += c * y
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _horner(a: list[int], u: int, v: int) -> int:

@@ -63,14 +63,14 @@ class PCF:
         return Recurrence(coeffs=[self.a, self.b])
 
     def first_valid_index(self) -> int:
-        """Smallest s >= 1 with b(n) != 0 for all n >= s up to a scan bound.
+        """Smallest s >= 1 with b(n) != 0 for all n >= s.
 
         A root k of b is a singular factor (zero determinant), not a pole:
         the product stays exact, but the fraction is cut off at k, so
-        evaluation starts after the last root.  Roots beyond the scan bound
-        of 500 are not found.
+        evaluation starts after the last root.  The scan runs up to b's
+        Cauchy root bound, so it finds every integer root.
         """
-        roots = [r for r in self.b.integer_roots(500) if r >= 1]
+        roots = [r for r in self.b.integer_roots(self.b.root_bound()) if r >= 1]
         return max(roots) + 1 if roots else 1
 
 

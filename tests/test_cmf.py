@@ -1,11 +1,18 @@
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pcf_unify import cmf as cmf_module
+from pcf_unify.cli import main
 from pcf_unify.cmf import (
     parallel_gauge,
     CMF,
+    TrajectorySingularity,
     canonical_directions,
     check_conserving,
     displacement,
@@ -15,8 +22,10 @@ from pcf_unify.cmf import (
     trajectory_pcf,
 )
 from pcf_unify.coboundary import verify_coboundary
-from pcf_unify.matrix import Mat, identity, projective_eq
+from pcf_unify.matrix import Mat, identity, mat_adjugate_inverse, projective_eq
 from pcf_unify.parsing import parse_poly, parse_ratfunc
+from pcf_unify.poly import Poly
+from pcf_unify.ratfunc import RationalFunction
 from pcf_unify.transforms import companion_reduce
 from pcf_unify.recurrence import PCF
 from pcf_unify.transforms import fold_pcf
@@ -35,13 +44,14 @@ def test_pi_cmf_is_conserving(field):
     assert check_conserving(field) == []
 
 
-def test_perturbed_cmf_reports_violation(field):
-    import json
-    from importlib import resources
-
-    raw = json.loads(
+def _pi_json() -> dict:
+    return json.loads(
         resources.files("pcf_unify.data").joinpath("pi_cmf.json").read_text()
     )
+
+
+def test_perturbed_cmf_reports_violation(field):
+    raw = _pi_json()
     raw["matrices"]["x"][0][1] = "y + 1"
     bad = CMF.from_json(raw)
     violations = check_conserving(bad)
@@ -191,3 +201,187 @@ def test_scan_trajectories_smoke(field):
     assert [d for d, _, _ in out] == [(1, 0, 0), (1, 1, 1)]
     assert out[0][1] == pcf("3n+1", "n(1-2n)")
     assert abs(out[0][2].delta - (-0.65)) < 0.08
+
+
+# -- the integer walk against a Mat-of-RationalFunction reference -------------------
+
+
+def _restrict(entry, pos, line):
+    """RationalFunction of an MRat on the line pos + (n-1)*line, expanded term by
+    term in Poly arithmetic."""
+
+    def univariate(p):
+        out = Poly()
+        for expo, c in p.terms.items():
+            term = Poly.const(c)
+            for x0, v, k in zip(pos, line, expo):
+                term = term * Poly([x0 - v, v]) ** k
+            out = out + term
+        return out
+
+    return RationalFunction(univariate(entry.num), univariate(entry.den))
+
+
+def reference_walk(field, point, direction, line) -> Mat:
+    """The canonical path (axes ascending, positive steps, then negative ones
+    as adjugates) multiplied as matrices of reduced rational functions."""
+    pos = [Fraction(p) for p in point]
+    steps = [(k, +1) for k, v in enumerate(direction) for _ in range(max(0, v))]
+    steps += [(k, -1) for k, v in enumerate(direction) for _ in range(max(0, -v))]
+    out = None
+    for k, sgn in steps:
+        if sgn < 0:
+            pos[k] -= 1
+        step = field.matrices[field.variables[k]].map(lambda e: _restrict(e, pos, line))
+        if sgn < 0:
+            step, _det = mat_adjugate_inverse(step)
+        else:
+            pos[k] += 1
+        out = step if out is None else out * step
+    return out
+
+
+def scaled_pi_cmf() -> CMF:
+    """The pi field with its x matrix scaled by 2/3: Fraction coefficients and,
+    within one matrix, entries over 1 and over x.  A constant scale keeps the
+    field conserving."""
+    raw = _pi_json()
+    raw["matrices"]["x"] = [[f"2/3*({e})" for e in row] for row in raw["matrices"]["x"]]
+    return CMF.from_json(raw)
+
+
+FIELDS = {"pi": pi_cmf(), "pi with x scaled by 2/3": scaled_pi_cmf()}
+
+
+def test_scaled_field_is_conserving():
+    assert check_conserving(FIELDS["pi with x scaled by 2/3"]) == []
+
+
+@st.composite
+def off_plane_points(draw):
+    # distinct nonzero fractional parts: no lattice shift of the point meets
+    # x = 0, y = 0, z = 0, x = z or y = z, nor makes a step singular
+    parts = draw(
+        st.lists(
+            st.fractions(min_value=0, max_value=1, max_denominator=7).filter(
+                lambda f: 0 < f < 1
+            ),
+            min_size=3,
+            max_size=3,
+            unique=True,
+        )
+    )
+    return tuple(draw(st.integers(-2, 2)) + f for f in parts)
+
+
+def nonzero_vectors(bound):
+    return st.tuples(*[st.integers(-bound, bound)] * 3).filter(any)
+
+
+@given(
+    st.sampled_from(sorted(FIELDS)),
+    off_plane_points(),
+    nonzero_vectors(2),
+    nonzero_vectors(1),
+)
+@settings(max_examples=40, deadline=None)
+def test_walk_matches_reference(name, point, v, w):
+    field = FIELDS[name]
+    assert trajectory_matrix(field, point, v).matrix == reference_walk(field, point, v, v)
+    assert parallel_gauge(field, point, v, w) == reference_walk(field, point, w, v)
+    at_point = reference_walk(field, point, v, (0, 0, 0)).map(lambda e: e.num[0])
+    assert displacement(field, point, v) == at_point
+
+
+def test_scaled_field_trajectory_matches_reference():
+    field = FIELDS["pi with x scaled by 2/3"]
+    p = (Fraction(1, 3), Fraction(2, 7), Fraction(5, 11))
+    for v in [(1, 0, 0), (-2, 1, 0), (1, -1, 2)]:
+        t = trajectory_matrix(field, p, v).matrix
+        assert t == reference_walk(field, p, v, v)
+    # the scale shows: one x step is 2/3 of the pi field's
+    ratio = Mat(
+        [
+            [a / b for a, b in zip(ra, rb)]
+            for ra, rb in zip(
+                trajectory_matrix(field, p, (1, 0, 0)).matrix.rows,
+                trajectory_matrix(FIELDS["pi"], p, (1, 0, 0)).matrix.rows,
+            )
+        ]
+    )
+    assert all(e == RationalFunction(Fraction(2, 3)) for row in ratio for e in row)
+
+
+# -- singularities -----------------------------------------------------------------
+
+
+def test_line_in_singular_plane_raises(field):
+    # after the x step the z step's positions (3/2 + (n-1), 1/3, 3/2 + (n-1))
+    # lie in the plane x = z, where the z matrix has its pole
+    with pytest.raises(TrajectorySingularity) as e:
+        trajectory_matrix(field, (Fraction(1, 2), Fraction(1, 3), Fraction(3, 2)), (1, 0, 1))
+    assert str(e.value) == (
+        "axis z at (3/2, 1/3, 3/2): denominator vanishes identically along the"
+        " substitution line"
+    )
+
+
+def test_identically_singular_negative_step_raises(field):
+    # det M_x = (2x - 2z + 2)/x vanishes on x - z = -1
+    with pytest.raises(TrajectorySingularity) as e:
+        trajectory_matrix(field, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 2)), (-1, 0, -1))
+    assert str(e.value) == "axis x at (-1/2, 1/3, 1/2): matrix is identically singular"
+
+
+def test_displacement_at_pole_raises(field):
+    with pytest.raises(TrajectorySingularity, match=r"^axis x at \(0, 1/2, 1/2\): pole at"):
+        displacement(field, (0, Fraction(1, 2), Fraction(1, 2)), (1, 0, 0))
+
+
+def test_start_shift_recorded_when_a_shift_resolves(field, monkeypatch):
+    start = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+    real = cmf_module.trajectory_matrix
+    seen = []
+
+    def singular_at_start(cmf, point, direction):
+        seen.append(tuple(point))
+        if tuple(point) == start:
+            raise TrajectorySingularity("singular start point")
+        return real(cmf, point, direction)
+
+    monkeypatch.setattr(cmf_module, "trajectory_matrix", singular_at_start)
+    pcf_shifted, trace = trajectory_pcf(field, start, (1, 0, 0))
+    assert seen == [start, (Fraction(3, 2), Fraction(1, 2), Fraction(1, 2))]
+    assert trace.steps[0] == {"kind": "start-shift", "steps": 1}
+    direct, _ = trajectory_pcf(field, seen[1], (1, 0, 0))
+    assert pcf_shifted == direct
+
+
+def test_degenerate_trajectory_is_singular_without_shifts(field, monkeypatch):
+    # T(n) is diagonal along this line: no second-order recurrence, and a
+    # start shift (n -> n + 1) cannot change that
+    calls = []
+    real = cmf_module.trajectory_matrix
+    monkeypatch.setattr(
+        cmf_module, "trajectory_matrix", lambda *a: calls.append(a) or real(*a)
+    )
+    start = (Fraction(6, 5), Fraction(4, 5), Fraction(3, 2))
+    with pytest.raises(TrajectorySingularity) as e:
+        trajectory_pcf(field, start, (2, 0, 1))
+    assert str(e.value) == (
+        "trajectory along [2, 0, 1] is degenerate: matrix cannot generate a"
+        " second-order recurrence"
+    )
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "direction, message",
+    [
+        ("0,0,0", "error: direction must be nonzero"),
+        ("1,0", "error: direction has 2 entries, the field has 3 variables"),
+    ],
+)
+def test_cli_trajectory_reports_bad_direction(direction, message, capsys):
+    assert main(["cmf", "trajectory", "--direction", direction]) == 2
+    assert capsys.readouterr().err.strip() == message

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcf_unify.matrix import Mat, det2, identity, mat_adjugate_inverse, projective_eq
-from pcf_unify.multivar import MPoly, MRat
+from pcf_unify.multivar import MPoly, MRat, integer_split, restrict_to_line
 from pcf_unify.parsing import parse_mrat, parse_ratfunc
 from pcf_unify.poly import N, Poly
 from pcf_unify.ratfunc import RationalFunction as RF
@@ -100,6 +100,23 @@ def test_mv_substitution_commutes_with_arithmetic():
     lhs = (f * g).substitute_affine(point, v)
     rhs = f.substitute_affine(point, v) * g.substitute_affine(point, v)
     assert lhs == rhs
+
+
+def test_integer_split_over_one_denominator():
+    entries = [
+        parse_mrat(s, NAMES)
+        for s in ["2/3", "y/(5*x)", "(x + 1/2)/(y - z)", "z/((y - z)*x)"]
+    ]
+    nums, den = integer_split(entries)
+    for p in (*nums, den):
+        assert all(c.denominator == 1 for c in p.terms.values())
+    for e, num in zip(entries, nums):
+        assert MRat(num, den) == e
+    # restricted together, the vectors keep each entry's ratio to den
+    point, v = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)), (1, -1, 2)
+    *rows, d = restrict_to_line([*nums, den], point, v)
+    for e, row in zip(entries, rows):
+        assert RF(Poly(row), Poly(d)) == e.substitute_affine(point, v)
 
 
 def test_mv_cross_multiplication_equality():

@@ -165,6 +165,27 @@ def test_singular_factor_is_fine_but_start_shifts():
     assert p.first_valid_index() == 4
 
 
+def test_first_valid_index_past_a_large_root():
+    # b = n^2 - 360000 vanishes at n = 600; the limit starts at 601
+    p = pcf("3n", "n^2 - 360000")
+    assert p.first_valid_index() == 601
+    v = evaluate_limit(p, depth=400, precision_digits=50)
+    with mp.workdps(80):
+        tail = mp.mpf(0)  # b(601) / (a(601) + b(602) / (a(602) + ...))
+        for n in range(1201, 600, -1):
+            tail = mp.mpf(n * n - 360000) / (3 * n + tail)
+        assert v.error_bound < mp.mpf(10) ** -40
+        assert abs(v.value - tail) <= v.error_bound
+
+
+def test_root_bound_covers_every_root():
+    assert pcf("1", "n^2 - 360000").b.root_bound() == 360001
+    assert parse_poly("2n^3 - 7n + 3").root_bound() == 4  # 1 + 7 // 2
+    assert parse_poly("5").root_bound() == 1
+    p = parse_poly("(n - 37)(n + 2)(3n - 1)")
+    assert max(abs(r) for r in p.integer_roots(p.root_bound())) == 37
+
+
 def test_limit_golden_ratio():
     # limit of the Eq-3 convergents of PCF(1,1) is 1/phi
     v = evaluate_limit(pcf("1", "1"), depth=120, precision_digits=40)
