@@ -35,7 +35,7 @@ from .multivar import MPoly, integer_split, restrict_to_line
 from .parsing import parse_mrat
 from .poly import Poly, _int_add, _int_mul
 from .ratfunc import RationalFunction
-from .transforms import TransformTrace, companion_reduce, to_pcf_canonical
+from .transforms import companion_reduce, to_pcf_canonical
 
 
 @dataclass(frozen=True)
@@ -215,36 +215,26 @@ def parallel_gauge(cmf: CMF, point, line_direction, offset_direction) -> Mat:
     return _walk(cmf, point, offset_direction, line_direction)
 
 
-def trajectory_pcf(cmf: CMF, point, direction, max_start_shifts: int = 8):
-    """Canonical PCF of a trajectory, applying the start-shift rule on
-    singularities (move the base point one direction-step forward).
+def trajectory_pcf(cmf: CMF, point, direction):
+    """Canonical PCF of the trajectory from ``point`` along ``direction``,
+    with the trace of the companion reduction and canonicalisation.
 
-    A trajectory matrix that carries no second-order recurrence depends on
-    the line only, so no shift mends it: it raises TrajectorySingularity at
-    once, with the reason.
+    A singular walk raises the walk's TrajectorySingularity (which axis, at
+    which lattice point, and why).  A trajectory matrix that carries no
+    second-order recurrence raises TrajectorySingularity with the reason.
+    Both depend on the line only: moving the start point along the
+    direction maps T(n) to T(n+1), so no start point on the line mends them.
     """
     point, direction = _check_line(cmf, point, direction)
-    trace = TransformTrace()
-    for k in range(max_start_shifts):
-        try:
-            traj = trajectory_matrix(cmf, point, direction)
-            rec, _gauge, t1 = companion_reduce(traj.matrix)
-            pcf, t2 = to_pcf_canonical(rec)
-        except (TrajectorySingularity, ZeroDivisionError):
-            point = [p + v for p, v in zip(point, direction)]
-            continue
-        except ValueError as exc:  # the inputs are checked, so the line is at fault
-            raise TrajectorySingularity(
-                f"trajectory along {direction} is degenerate: {exc}"
-            ) from exc
-        if k:
-            trace.record("start-shift", steps=k)
-        trace.extend(t1)
-        trace.extend(t2)
-        return pcf, trace
-    raise TrajectorySingularity(
-        f"no regular start point along {direction} after {max_start_shifts} shifts"
-    )
+    try:
+        rec, _gauge, t1 = companion_reduce(trajectory_matrix(cmf, point, direction).matrix)
+        pcf, t2 = to_pcf_canonical(rec)
+    except ValueError as exc:  # the inputs are checked, so the line is at fault
+        raise TrajectorySingularity(
+            f"trajectory along {direction} is degenerate: {exc}"
+        ) from exc
+    t1.extend(t2)
+    return pcf, t1
 
 
 def canonical_directions(radius: int, dim: int = 3, primitive_only: bool = True):

@@ -376,6 +376,10 @@ class MatchContext:
     max_fold: int = 12
     _cache: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.max_fold < 1:
+            raise ValueError(f"fold cap must be at least 1, got {self.max_fold}")
+
     def _key(self, pcf: PCF):
         return (pcf.a.coeffs, pcf.b.coeffs)
 
@@ -459,16 +463,6 @@ def _structural_identity_result(pcf: PCF) -> MatchResult:
     return MatchResult("matched", cert, pcf, pcf, {"note": "identical canonical forms"})
 
 
-def _shift_for_pair(pcf_a: PCF, pcf_b: PCF, depth: int) -> int:
-    """Shift making both determinants nonzero on [1, depth] (propagation range)."""
-    worst = 0
-    for p in (pcf_a, pcf_b):
-        roots = [r for r in p.b.integer_roots(depth + 500) if r >= 1]
-        if roots:
-            worst = max(worst, max(roots))
-    return worst
-
-
 def match_pair(rec_a, rec_b, ctx: MatchContext | None = None) -> MatchResult:
     """Full matching flow: metric gate, folds, U(1), propagation, fit, verify.
 
@@ -504,18 +498,15 @@ def match_pair(rec_a, rec_b, ctx: MatchContext | None = None) -> MatchResult:
 
     rate_a, rate_b = ctx.rate(pcf_a), ctx.rate(pcf_b)
     diagnostics["rate"] = (rate_a.rate, rate_b.rate)
-    ratio = rate_ratio(rate_a, rate_b)
+    ratio = rate_ratio(rate_a, rate_b, ctx.max_fold)
     if ratio is None:
         return MatchResult("metrics-mismatch", diagnostics=diagnostics)
     if ratio == 0:
         fold_options = [(1, 1), (2, 1), (1, 2), (2, 2)]
+    elif ratio.numerator > ctx.max_fold:  # the denominator is capped already
+        diagnostics["note"] = f"rate ratio {ratio} beyond fold cap"
+        return MatchResult("metrics-mismatch", diagnostics=diagnostics)
     else:
-        if (
-            ratio.numerator > ctx.max_fold
-            or ratio.denominator > ctx.max_fold
-        ):
-            diagnostics["note"] = f"rate ratio {ratio} beyond fold cap"
-            return MatchResult("metrics-mismatch", diagnostics=diagnostics)
         fold_options = [(ratio.denominator, ratio.numerator)]
     diagnostics["fold_options"] = fold_options
 
@@ -586,7 +577,7 @@ def _attempt_fold_option(pcf_a, pcf_b, k_a, k_b, ctx, diagnostics) -> MatchResul
         diagnostics[f"fold {k_a},{k_b}"] = f"fold failed: {exc}"
         return MatchResult("fit-failed", diagnostics=diagnostics)
 
-    shift = _shift_for_pair(fa, fb, ctx.propagation_depth + 20)
+    shift = max(fa.first_valid_index(), fb.first_valid_index()) - 1
     if shift:
         fa = to_pcf_canonical(pcf_shift(fa, shift))[0]
         fb = to_pcf_canonical(pcf_shift(fb, shift))[0]

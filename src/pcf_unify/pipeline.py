@@ -18,7 +18,7 @@ become roots of their trees.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -204,16 +204,8 @@ def validate_formula(rec: FormulaRecord, ctx: MatchContext) -> GraphNode | Rejec
 
 
 def _validate_worker(args):
-    rec, constant = args
-    ctx = MatchContext(constant=constant)
-    out = validate_formula(rec, ctx)
-    fragment = {}
-    if isinstance(out, GraphNode) and out.canonical_pcf is not None:
-        key = (out.canonical_pcf.a.coeffs, out.canonical_pcf.b.coeffs)
-        for tag in ("delta", "rate", "limit", "ident"):
-            if (tag, key) in ctx._cache:
-                fragment[(tag, key)] = ctx._cache[(tag, key)]
-    return rec.id, out, fragment
+    rec, ctx = args
+    return validate_formula(rec, ctx), ctx._cache
 
 
 def validate_many(records, ctx: MatchContext, jobs: int = 1, progress=None):
@@ -233,12 +225,11 @@ def validate_many(records, ctx: MatchContext, jobs: int = 1, progress=None):
         return nodes, rejections
     from concurrent.futures import ProcessPoolExecutor
 
+    blank = replace(ctx, _cache={})
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(
-            pool.map(_validate_worker, [(rec, ctx.constant) for rec in records])
-        )
-    for rec, (_rid, out, fragment) in zip(records, results):
-        ctx._cache.update(fragment)
+        results = list(pool.map(_validate_worker, [(rec, blank) for rec in records]))
+    for rec, (out, memo) in zip(records, results):
+        ctx._cache.update(memo)
         if progress:
             progress(f"validated {rec.id}" if isinstance(out, GraphNode) else f"rejected {rec.id}")
         (nodes if isinstance(out, GraphNode) else rejections).append(out)
@@ -255,13 +246,12 @@ def cmf_nodes_for_directions(cmf, start, directions, ctx: MatchContext) -> list[
             pcf, _ = trajectory_pcf(cmf, start, v)
         except TrajectorySingularity:
             continue
-        canonical, _ = to_pcf_canonical(pcf)
         nodes.append(
             GraphNode(
                 id="cmf" + str(tuple(int(c) for c in v)).replace(" ", ""),
-                canonical_pcf=canonical,
-                delta=ctx.delta(canonical),
-                rate=ctx.rate(canonical),
+                canonical_pcf=pcf,
+                delta=ctx.delta(pcf),
+                rate=ctx.rate(pcf),
                 source_kind="cmf",
                 direction=tuple(int(c) for c in v),
             )

@@ -5,15 +5,17 @@ the formal variable (conventionally printed as ``n``).  The trailing
 (highest-degree) coefficient is always nonzero; the zero polynomial is the
 empty tuple and has degree -1.
 
-That representation is what callers see; multiplication, division,
-evaluation and the integer-root search run on integer coefficient vectors
-with one common denominator (``_scaled_ints``, which ``poly_gcd`` and
-``linalg.primitive_ints`` use too) and build one reduced Fraction per result
-coefficient, instead of paying a gcd for every Fraction product and sum.
+That representation is what callers see; multiplication, division and
+evaluation run on integer coefficient vectors with one common denominator
+(``_scaled_ints``, which ``poly_gcd`` and ``linalg.primitive_ints`` use too)
+and build one reduced Fraction per result coefficient, instead of paying a
+gcd for every Fraction product and sum.  ``Poly.integer_roots`` is the one
+exact answer to "where does this polynomial vanish on the integers".
 ``_int_mul`` and ``_int_add`` are the integer-vector product and sum, shared
 with ``multivar.restrict_to_line`` and the ``cmf`` walk.
 ``_poly_rem_mod_p`` is the package's one mod-p polynomial remainder, shared
-by the gcd degree check here and ``linalg.rational_fit_screen``.
+by the gcd degree check here (which also picks ``integer_roots``' prime) and
+``linalg.rational_fit_screen``.
 
 ``fractions.Fraction`` plays the role of the exact rational scalar
 throughout the package: it is always reduced and has a positive denominator,
@@ -23,8 +25,9 @@ which is exactly the normalization the algorithms rely on.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd as _int_gcd
-from math import lcm
+from math import isqrt, lcm
 
 
 def _as_fraction(x) -> Fraction:
@@ -234,26 +237,42 @@ class Poly:
         a, _ = _scaled_ints(self.coeffs)
         return 1 + max(map(abs, a[:-1]), default=0) // abs(a[-1])
 
-    def integer_roots(self, bound: int = 50) -> list[int]:
-        """Integer roots with |root| <= bound, in increasing order.
+    def integer_roots(self) -> list[int]:
+        """Every integer root, in increasing order.
 
-        A nonzero integer root divides the lowest nonzero coefficient of the
-        integer multiple (rational root theorem), so only such candidates
-        are evaluated.
+        Root 0 comes from the power of n; the others are roots of the
+        square-free part s of the rest.  For the first prime q that keeps s
+        square-free and of full degree mod q, Newton's iteration lifts each
+        root of s mod q to the one root mod q^(2^j) congruent to it, until
+        the modulus exceeds twice the Cauchy bound.  Its symmetric residue
+        is then the only candidate integer root, and is tested exactly.
+        The cost is polynomial in the degree and the coefficients' bit size.
         """
         if self.is_zero():
             return []
         a, _ = _scaled_ints(self.coeffs)
         k = next(i for i, c in enumerate(a) if c)
-        a = a[k:]
-        roots = []
-        for r in range(-bound, bound + 1):
-            if r == 0:
-                if k:
-                    roots.append(0)
-            elif a[0] % r == 0 and _horner(a, r, 1) == 0:
-                roots.append(r)
-        return roots
+        p = Poly(a[k:])
+        p = p // poly_gcd(p, Poly([i * c for i, c in enumerate(a[k:])][1:]))
+        s, _ = _scaled_ints(p.coeffs)
+        ds = [i * c for i, c in enumerate(s)][1:]
+        q = next(
+            q for q in count(2)
+            if all(q % f for f in range(2, isqrt(q) + 1)) and _gcd_degree_mod_p(s, ds, q) == 0
+        )
+        bound = p.root_bound()
+        roots = [0] if k else []
+        for r in range(q):
+            if _horner(s, r, 1) % q:
+                continue
+            x, m = r, q
+            while m <= 2 * bound:
+                m *= m
+                x = (x - _horner(s, x, 1) * pow(_horner(ds, x, 1), -1, m)) % m
+            x = x - m if 2 * x > m else x
+            if not _horner(s, x, 1):
+                roots.append(x)
+        return sorted(roots)
 
     # -- formatting ----------------------------------------------------------
 
@@ -453,8 +472,8 @@ def gcd_many(polys) -> Poly:
     return out
 
 
-def low_degree_factors(p: Poly, root_bound: int = 50):
-    """Split p into linear factors from an integer-root scan plus a remainder.
+def low_degree_factors(p: Poly):
+    """Split p into the linear factors of its integer roots plus a remainder.
 
     Returns (factors, remainder) with p proportional to remainder * prod(factors).
     Used by the deflation search; full factorization is deliberately out of
@@ -462,13 +481,7 @@ def low_degree_factors(p: Poly, root_bound: int = 50):
     """
     rem = p.monic_primitive()
     factors = []
-    if rem.is_zero():
-        return factors, rem
-    # strip powers of n first (root 0)
-    while rem.degree >= 1 and rem[0] == 0:
-        rem = Poly(rem.coeffs[1:])
-        factors.append(Poly([0, 1]))
-    for r in rem.integer_roots(root_bound):
+    for r in rem.integer_roots():
         lin = Poly([-r, 1])
         while rem.degree >= 1 and rem(r) == 0:
             rem = (rem // lin).monic_primitive()

@@ -67,10 +67,9 @@ class PCF:
 
         A root k of b is a singular factor (zero determinant), not a pole:
         the product stays exact, but the fraction is cut off at k, so
-        evaluation starts after the last root.  The scan runs up to b's
-        Cauchy root bound, so it finds every integer root.
+        evaluation starts after the last root.
         """
-        roots = [r for r in self.b.integer_roots(self.b.root_bound()) if r >= 1]
+        roots = [r for r in self.b.integer_roots() if r >= 1]
         return max(roots) + 1 if roots else 1
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .matrix import Mat, mat_adjugate_inverse
+from .matrix import Mat, det2
 from .poly import ONE, Poly, format_poly, gcd_many, low_degree_factors
 from .ratfunc import RationalFunction as RF, clear_denominators
 from .recurrence import PCF, Recurrence
@@ -134,6 +134,9 @@ def companion_reduce(m: Mat) -> tuple[Recurrence, Mat, TransformTrace]:
     Returns (order-2 recurrence with rational-function coefficients expressed
     as c(n) u_n = a(n) u_{n-1} + b(n) u_{n-2}, gauge U, trace), where
     U(n) * m(n) * U(n+1)^{-1} is projectively the recurrence's companion.
+    U m adj U(n+1) is written out per branch: [[0, -det gamma(n+1)],
+    [gamma, gamma alpha(n+1) + delta gamma(n+1)]] when gamma != 0, else
+    [[0, beta], [-alpha beta(n-1) delta, alpha(n-1) beta + beta(n-1) delta]].
     """
     alpha, beta = m[0, 0], m[0, 1]
     gamma, delta = m[1, 0], m[1, 1]
@@ -141,21 +144,20 @@ def companion_reduce(m: Mat) -> tuple[Recurrence, Mat, TransformTrace]:
     if not gamma.is_zero():
         u = Mat([[gamma, -alpha], [RF(0), RF(1)]])
         branch = "lower-left nonzero"
+        step = gamma.shift(1) / gamma
+        a, b = alpha.shift(1) + delta * step, -det2(m) * step
     elif not beta.is_zero():
         u = Mat([[RF(1), RF(0)], [alpha.shift(-1), beta.shift(-1)]])
         branch = "lower-left zero"
+        lower_left = -alpha * u[1, 1] * delta
+        if lower_left.is_zero():
+            raise DegenerateMatrixError("gauge did not reach companion shape")
+        a = (u[1, 0] * beta + u[1, 1] * delta) / lower_left
+        b = beta / lower_left
     else:
         raise DegenerateMatrixError("matrix cannot generate a second-order recurrence")
     trace.record("gauge", branch=branch, u=[[str(e) for e in row] for row in u.rows])
-
-    try:
-        adj, _det = mat_adjugate_inverse(u.shift(1))
-    except ZeroDivisionError:
-        raise DegenerateMatrixError("gauge matrix is singular") from None
-    e = u * m * adj  # companion up to the scalar det
-    if not e[0, 0].is_zero() or e[1, 0].is_zero():
-        raise DegenerateMatrixError("gauge did not reach companion shape")
-    (a_num, b_num), den = clear_denominators([e[1, 1] / e[1, 0], e[0, 1] / e[1, 0]])
+    (a_num, b_num), den = clear_denominators([a, b])
     return Recurrence(coeffs=[a_num, b_num], den=den), u, trace
 
 

@@ -338,23 +338,18 @@ def test_displacement_at_pole_raises(field):
         displacement(field, (0, Fraction(1, 2), Fraction(1, 2)), (1, 0, 0))
 
 
-def test_start_shift_recorded_when_a_shift_resolves(field, monkeypatch):
-    start = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+def test_singular_trajectory_reports_the_walk_reason_at_once(field, monkeypatch):
+    # a start shift only maps T(n) to T(n + 1), so the walk's own reason is
+    # the answer, after one walk
+    calls = []
     real = cmf_module.trajectory_matrix
-    seen = []
-
-    def singular_at_start(cmf, point, direction):
-        seen.append(tuple(point))
-        if tuple(point) == start:
-            raise TrajectorySingularity("singular start point")
-        return real(cmf, point, direction)
-
-    monkeypatch.setattr(cmf_module, "trajectory_matrix", singular_at_start)
-    pcf_shifted, trace = trajectory_pcf(field, start, (1, 0, 0))
-    assert seen == [start, (Fraction(3, 2), Fraction(1, 2), Fraction(1, 2))]
-    assert trace.steps[0] == {"kind": "start-shift", "steps": 1}
-    direct, _ = trajectory_pcf(field, seen[1], (1, 0, 0))
-    assert pcf_shifted == direct
+    monkeypatch.setattr(
+        cmf_module, "trajectory_matrix", lambda *a: calls.append(a) or real(*a)
+    )
+    with pytest.raises(TrajectorySingularity) as e:
+        trajectory_pcf(field, (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)), (1, -1, -1))
+    assert str(e.value) == "axis y at (3/2, -1/2, 1/2): matrix is identically singular"
+    assert len(calls) == 1
 
 
 def test_degenerate_trajectory_is_singular_without_shifts(field, monkeypatch):

@@ -299,3 +299,34 @@ def test_zero_coboundary_matrix_is_a_verification_error():
     a_m = PI34_A.companion().matrix
     with pytest.raises(VerificationError, match="zero coboundary"):
         verify_coboundary(a_m, a_m, Mat([[0, 0], [0, 0]]))
+
+
+def test_fold_cap_bounds_the_rate_ratio_denominator(monkeypatch):
+    # a 14/13 rate ratio needs a denominator cap of at least 13; a cap of 12
+    # would read it as 13/12
+    from pcf_unify.metrics import DeltaEstimate, RateEstimate
+
+    ctx = MatchContext(max_fold=20)
+    rates = {PI34_A: 14.0, PI34_B: 13.0}
+    monkeypatch.setattr(ctx, "delta", lambda p: DeltaEstimate(1.0, ctx.metric_depth))
+    monkeypatch.setattr(
+        ctx, "rate", lambda p: RateEstimate(rates[p], -rates[p], ctx.metric_depth)
+    )
+    folds = []
+
+    def attempt(pcf_a, pcf_b, k_a, k_b, ctx, diagnostics):
+        folds.append((k_a, k_b))
+        return coboundary.MatchResult("fit-failed", diagnostics=diagnostics)
+
+    monkeypatch.setattr(coboundary, "_attempt_fold_option", attempt)
+    result = match_pair(PI34_A, PI34_B, ctx)
+    assert folds == [(13, 14)]
+    assert result.diagnostics["fold_options"] == [(13, 14)]
+
+
+def test_fold_cap_below_one_is_an_input_error():
+    from pcf_unify.cli import main
+
+    with pytest.raises(ValueError, match="fold cap must be at least 1"):
+        MatchContext(max_fold=0)
+    assert main(["match", "PCF(2n+1; n^2)", "PCF(2n+3; n(n+2))", "--fold-cap", "0"]) == 2

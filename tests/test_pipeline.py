@@ -16,6 +16,7 @@ from pcf_unify.pipeline import (
     grow_coboundary_graph,
     ingest_corpus,
     validate_formula,
+    validate_many,
 )
 from pcf_unify.recurrence import PCF
 
@@ -106,6 +107,21 @@ def test_bundled_corpora_ingest():
         )
         recs = ingest_corpus(data)
         assert len(recs) >= minimum
+
+
+def test_validate_many_in_processes_uses_the_whole_context():
+    from importlib import resources
+
+    data = json.loads(resources.files("pcf_unify.data").joinpath("corpus_pi.json").read_text())
+    records = [r for r in ingest_corpus(data) if r.kind == "pcf"][:3]
+    runs = []
+    for jobs in (1, 2):
+        run_ctx = MatchContext(limit_digits=120, metric_depth=500, limit_depth=1000)
+        nodes, rejections = validate_many(records, run_ctx, jobs=jobs)
+        runs.append((nodes, rejections, run_ctx._cache))
+    assert runs[0] == runs[1]
+    limits = [v for (tag, _), v in runs[1][2].items() if tag == "limit"]
+    assert limits and all(lim.precision_digits == 120 for lim in limits)
 
 
 def test_validate_leibniz_series(ctx):
@@ -370,6 +386,14 @@ def test_cli_exit_codes(tmp_path):
     assert (
         main(["match", "PCF(1; 1)", "PCF(2; (2n-1)^2)", "--constant", "pi"]) == 1
     )  # golden ratio is not a pi formula: metrics/moebius mismatch
+
+
+def test_cli_eval_past_a_huge_root():
+    from pcf_unify.cli import main
+
+    # b vanishes at n = 10^5; the limit starts at 10^5 + 1
+    argv = ["eval", "PCF(3n; n^2 - 10000000000)", "--depth", "400", "--precision-digits", "30"]
+    assert main(argv) == 0
 
 
 def test_cli_arithmetic_failures_are_input_errors(capsys):

@@ -63,7 +63,7 @@ def test_format_round_trip():
 
 def test_integer_roots():
     p = (N - 3) * (N + 5) * (2 * N - 1)
-    assert p.integer_roots(10) == [-5, 3]
+    assert p.integer_roots() == [-5, 3]
 
 
 def test_low_degree_factors():
@@ -228,7 +228,7 @@ def test_integer_roots_of_linear_factor_products(roots, cofactor, scale, bound):
     p = Poly.const(scale) * Poly(cofactor + [1])
     for r in roots:
         p = p * Poly([-r, 1])
-    found = p.integer_roots(bound)
+    found = [r for r in p.integer_roots() if abs(r) <= bound]
     assert found == ref_integer_roots(p, bound)
     assert set(found) >= {r for r in roots if abs(r) <= bound}
 
@@ -236,7 +236,42 @@ def test_integer_roots_of_linear_factor_products(roots, cofactor, scale, bound):
 @given(mixed_polys(max_degree=5), st.integers(0, 30))
 @settings(max_examples=100, deadline=None)
 def test_integer_roots_match_scan(p, bound):
-    assert p.integer_roots(bound) == ref_integer_roots(p, bound)
+    assert [r for r in p.integer_roots() if abs(r) <= bound] == ref_integer_roots(p, bound)
+
+
+# small roots and cofactors keep the Cauchy bound, and so the scan, short
+@given(
+    st.lists(st.integers(-6, 6), max_size=3),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.integers(1, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_integer_roots_are_all_roots_within_the_cauchy_bound(roots, cofactor, scale):
+    p = Poly(cofactor + [scale])
+    for r in roots:
+        p = p * Poly([-r, 1])
+    if not p.is_zero():
+        assert p.integer_roots() == ref_integer_roots(p, p.root_bound())
+
+
+@given(
+    st.lists(st.integers(-(10**30), 10**30), max_size=5),
+    st.integers(1, 10**6),
+    mixed_rationals.filter(lambda c: c != 0),
+)
+@settings(max_examples=100, deadline=None)
+def test_integer_roots_far_past_any_scan(roots, c, scale):
+    p = Poly.const(scale) * (N**2 + c)  # no real roots of its own
+    for r in roots:
+        p = p * Poly([-r, 1])
+    assert p.integer_roots() == sorted(set(roots))
+
+
+def test_integer_roots_past_a_huge_bound():
+    assert (N**2 - 10**12).integer_roots() == [-(10**6), 10**6]
+    p = (N - 10**20) ** 3 * (N + 7) * (N**2 - 2) * N**2
+    assert p.integer_roots() == [-7, 0, 10**20]
+    assert (N**2 + 1).integer_roots() == Poly.const(3).integer_roots() == []
 
 
 GCD_TABLE = [
@@ -256,20 +291,23 @@ def test_gcd_table(p, q, expected):
     assert format_poly(poly_gcd(p, q)) == expected
 
 
+# scan: radius of a reference root scan; the factors cover every root it
+# finds, and the roots past it too
 FACTOR_TABLE = [
     ((N - 2) ** 2 * (N**2 + 1), 50, ["n - 2", "n - 2"], "n^2 + 1"),
-    (N**2 * (N + 50) * (N - 51), 50, ["n", "n", "n + 50"], "n - 51"),
+    (N**2 * (N + 50) * (N - 51), 50, ["n + 50", "n", "n", "n - 51"], "1"),
     (Fraction(5, 3) * (2 * N - 1) * (N + 3), 50, ["n + 3"], "2*n - 1"),
     ((N + 1) ** 3 * (N - 4) * (3 * N**2 - 7), 50, ["n + 1"] * 3 + ["n - 4"], "3*n^2 - 7"),
-    ((N - 7) * (N + 9) * (N - 30), 10, ["n + 9", "n - 7"], "n - 30"),
+    ((N - 7) * (N + 9) * (N - 30), 10, ["n + 9", "n - 7", "n - 30"], "1"),
     (Poly([Fraction(1, 2), Fraction(-7, 6), Fraction(1, 3)]), 50, ["n - 3"], "2*n - 1"),
     (Poly.const(Fraction(-4, 9)), 50, [], "1"),
     (Poly(), 50, [], "0"),
 ]
 
 
-@pytest.mark.parametrize("p, bound, factors, rem", FACTOR_TABLE)
-def test_low_degree_factors_table(p, bound, factors, rem):
-    got_factors, got_rem = low_degree_factors(p, bound)
+@pytest.mark.parametrize("p, scan, factors, rem", FACTOR_TABLE)
+def test_low_degree_factors_table(p, scan, factors, rem):
+    got_factors, got_rem = low_degree_factors(p)
     assert [format_poly(f) for f in got_factors] == factors
+    assert set(ref_integer_roots(p, scan)) <= {-f[0] for f in got_factors}
     assert format_poly(got_rem) == rem

@@ -183,7 +183,13 @@ def test_root_bound_covers_every_root():
     assert parse_poly("2n^3 - 7n + 3").root_bound() == 4  # 1 + 7 // 2
     assert parse_poly("5").root_bound() == 1
     p = parse_poly("(n - 37)(n + 2)(3n - 1)")
-    assert max(abs(r) for r in p.integer_roots(p.root_bound())) == 37
+    assert p.integer_roots() == [-2, 37]
+    assert p.root_bound() >= 37
+
+
+def test_first_valid_index_past_a_huge_root():
+    # b's Cauchy bound is 10^12 + 1, far past any scan of candidates
+    assert pcf("3n", "n^2 - 10^12").first_valid_index() == 10**6 + 1
 
 
 def test_limit_golden_ratio():

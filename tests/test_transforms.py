@@ -10,6 +10,7 @@ from pcf_unify.poly import N, Poly
 from pcf_unify.ratfunc import RationalFunction as RF
 from pcf_unify.recurrence import PCF, Recurrence, companion, step_product
 from pcf_unify.transforms import (
+    DegenerateMatrixError,
     companion_reduce,
     fold,
     fold_pcf,
@@ -153,3 +154,62 @@ def test_canonical_idempotent_random(p):
     except ValueError:
         return
     assert p1 == p2
+
+
+@given(
+    small_pcfs(),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.lists(small_coeffs, min_size=1, max_size=2).filter(any),
+)
+@settings(max_examples=60, deadline=None)
+def test_canonical_form_is_a_fixed_point(p, roots, den):
+    # d | a and d(n) d(n-1) | b give the deflation work; den the inflation
+    d = Poly.const(1)
+    for r in roots:
+        d = d * Poly([-r, 1])
+    rec = Recurrence(coeffs=[p.a * d, p.b * d * d.shift(-1)], den=Poly(den))
+    canonical, _ = to_pcf_canonical(rec)
+    again, trace = to_pcf_canonical(canonical)
+    assert again == canonical
+    assert trace.steps == []
+
+
+def ref_companion_reduce(m: Mat):
+    """companion_reduce by the explicit product U(n) m(n) adj U(n+1)."""
+    from pcf_unify.matrix import mat_adjugate_inverse
+    from pcf_unify.ratfunc import clear_denominators
+
+    if not m[1, 0].is_zero():
+        u = Mat([[m[1, 0], -m[0, 0]], [RF(0), RF(1)]])
+    elif not m[0, 1].is_zero():
+        u = Mat([[RF(1), RF(0)], [m[0, 0].shift(-1), m[0, 1].shift(-1)]])
+    else:
+        raise DegenerateMatrixError("matrix cannot generate a second-order recurrence")
+    adj, _ = mat_adjugate_inverse(u.shift(1))
+    e = u * m * adj
+    if not e[0, 0].is_zero() or e[1, 0].is_zero():
+        raise DegenerateMatrixError("gauge did not reach companion shape")
+    (a, b), den = clear_denominators([e[1, 1] / e[1, 0], e[0, 1] / e[1, 0]])
+    return Recurrence(coeffs=[a, b], den=den), u
+
+
+def reduce_outcome(reduce, m: Mat):
+    try:
+        rec, u, *_ = reduce(m)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return rec, u
+
+
+small_rfs = st.builds(
+    RF,
+    st.lists(small_coeffs, max_size=3).map(Poly),
+    st.lists(small_coeffs, min_size=1, max_size=2).filter(any).map(Poly),
+)
+
+
+@given(st.lists(small_rfs, min_size=4, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_companion_reduce_matches_the_explicit_product(entries):
+    m = Mat([entries[:2], entries[2:]])
+    assert reduce_outcome(companion_reduce, m) == reduce_outcome(ref_companion_reduce, m)
